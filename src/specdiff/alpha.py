@@ -4,18 +4,19 @@ alpha(lambda) = lim (pi/2eps) ||(G E0(lambda-eps,lambda+eps))^T J G E(...)||
 is computed (i) from the derivative formula pi ||F0'^(1/2) J F'^(1/2)||,
 (ii) from the unitary S-tilde matrix, (iii) from the projection-window limit
 on finite truncations.  d_spectrum_ladder tracks the eigenvalue cloud of
-D = E(-inf,lambda) - E0(-inf,lambda) along a ladder of truncations.
+D = E(-inf,lambda) - E0(-inf,lambda) along a ladder of truncations, and
+d_spectrum_ladders does so for many lambda from one decomposition per rung.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
-from .opcore import (ModelSpec, OperatorPair, build_model, eigendecompose, is_tridiagonal,
-                     select_spectrum, tridiag_window)
+from .opcore import (ModelSpec, OperatorPair, build_model, eigendecompose_pair,
+                     is_tridiagonal, projection_difference, select_spectrum,
+                     spectral_block, tridiag_window)
 from .resolvent import BoundaryValue
 
 ALPHA_CAP_TOL = 1e-6
@@ -164,27 +165,6 @@ def alpha_proj_limit(pair: OperatorPair, lam, eps_schedule,
                          route="proj_limit", diagnostics=tuple(diag))
 
 
-def _proj_blocks(spec: ModelSpec, lam):
-    """Eigenvector blocks of H0 and H below lambda at one truncation.
-
-    Strictly below in exact arithmetic (opcore.select_spectrum): an
-    eigenvalue on lambda is left out of both blocks.
-    """
-    pair = build_model(spec)
-    if is_tridiagonal(pair):
-        d0, e0 = np.diag(pair.h0).copy(), np.diag(pair.h0, 1).copy()
-        w0, v0 = eigh_tridiagonal(d0, e0)
-        d1, e1 = np.diag(pair.h).copy(), np.diag(pair.h, 1).copy()
-        w1, v1 = eigh_tridiagonal(d1, e1)
-    else:
-        dec0 = eigendecompose(pair.h0)
-        dec1 = eigendecompose(pair.h)
-        w0, v0 = dec0.eigenvalues, dec0.eigenvectors
-        w1, v1 = dec1.eigenvalues, dec1.eigenvectors
-    return (v0[:, select_spectrum(w0, hi=lam)].copy(),
-            v1[:, select_spectrum(w1, hi=lam)].copy())
-
-
 def _b4_residual_norm(v0n, v1n, iters=60, seed=1234):
     """Power-iteration norm of D^2 - E0- E+ E0- - E0+ E- E0+ (complementary splits).
 
@@ -201,11 +181,12 @@ def _b4_residual_norm(v0n, v1n, iters=60, seed=1234):
         return v1n @ (v1n.T @ x)
 
     def resid(x):
-        d = lambda y: p1(y) - p0(y)
-        t1 = d(d(x))
-        t2 = p0(x) - p0(p1(p0(x)))          # E0- E+ E0- x with E+ = I - E-
-        xm = x - p0(x)
-        t3 = p1(xm) - p0(p1(xm))            # E0+ E- E0+ x
+        p0x = p0(x)
+        dx = p1(x) - p0x
+        t1 = p1(dx) - p0(dx)                # D^2 x
+        t2 = p0x - p0(p1(p0x))              # E0- E+ E0- x with E+ = I - E-
+        p1xm = p1(x - p0x)
+        t3 = p1xm - p0(p1xm)                # E0+ E- E0+ x
         return t1 - t2 - t3
 
     rng = np.random.default_rng(seed)
@@ -235,34 +216,54 @@ def transient_filter(cloud, prev_cloud, move_tol=TRANSIENT_MOVE):
     return cloud[dist <= move_tol]
 
 
+def d_spectrum_ladders(spec: ModelSpec, lams, n_list) -> tuple:
+    """d_spectrum_ladder for every lambda in lams, one EssSpectrumEstimate each.
+
+    Each rung is built and decomposed once (opcore.eigendecompose_pair); the
+    blocks of every lambda are prefix views of those eigenvectors, first
+    trimmed to the prefix below max(lams) in Fortran order, the solver's
+    layout, so that they match pcfunc.symbol_difference's views bit for bit.
+    """
+    return _ladders(spec, lams, n_list)
+
+
 def d_spectrum_ladder(spec: ModelSpec, lam, n_list) -> EssSpectrumEstimate:
-    """Eigenvalue clouds of D = E(-inf,lam) - E0(-inf,lam) along a truncation ladder."""
+    """Eigenvalue clouds of D = E(-inf,lam) - E0(-inf,lam) along a truncation ladder.
+
+    E(-inf, lam) is strictly below lam in exact arithmetic
+    (opcore.select_spectrum): an eigenvalue on lam is left out.
+    """
+    return _ladders(spec, (lam,), n_list)[0]
+
+
+def _ladders(spec, lams, n_list):
+    # the body of both public names, so that a traced call of either is one span
+    lams = tuple(float(lam) for lam in lams)
     n_list = tuple(int(n) for n in n_list)
     if len(n_list) < 3 or list(n_list) != sorted(n_list):
         raise AlphaError("n_list must be ascending with at least 3 entries")
-    clouds = []
-    residuals = []
+    clouds = [[] for _ in lams]
+    residuals = [[] for _ in lams]
+    top = max(lams, default=-np.inf)
     for n in n_list:
-        spec_n = ModelSpec(kind=spec.kind, n_half=n, potential=spec.potential,
-                           decay_rate=spec.decay_rate, seed=spec.seed)
-        v0n, v1n = _proj_blocks(spec_n, lam)
-        residuals.append(_b4_residual_norm(v0n, v1n))
-        d = v1n @ v1n.T
-        d -= v0n @ v0n.T
-        del v0n, v1n
-        w = np.linalg.eigvalsh(d)
-        del d
-        clouds.append(w)
+        trimmed = [(dec.eigenvalues,
+                    spectral_block(dec.eigenvalues, dec.eigenvectors, top).copy(order="F"))
+                   for dec in eigendecompose_pair(build_model(replace(spec, n_half=n)))]
+        for i, lam in enumerate(lams):
+            v0n, v1n = (spectral_block(w, vecs, lam) for w, vecs in trimmed)
+            residuals[i].append(_b4_residual_norm(v0n, v1n))
+            clouds[i].append(np.linalg.eigvalsh(projection_difference(v0n, v1n)))
+    return tuple(_ess_estimate(lam, n_list, c, r) for lam, c, r in zip(lams, clouds, residuals))
+
+
+def _ess_estimate(lam, n_list, clouds, residuals) -> EssSpectrumEstimate:
     filtered = transient_filter(clouds[-1], clouds[-2])
     alpha_emp = float(np.max(np.abs(filtered))) if filtered.size else 0.0
     inner = np.sort(filtered[np.abs(filtered) <= alpha_emp + 1e-12])
-    if inner.size >= 2:
-        fill = float(np.max(np.diff(inner)))
-    else:
-        fill = 0.0
+    fill = float(np.max(np.diff(inner))) if inner.size >= 2 else 0.0
     plus = int(np.sum(np.abs(clouds[-1] - 1.0) <= PM_ONE_TOL))
     minus = int(np.sum(np.abs(clouds[-1] + 1.0) <= PM_ONE_TOL))
-    return EssSpectrumEstimate(lam=float(lam), n_list=n_list,
+    return EssSpectrumEstimate(lam=lam, n_list=n_list,
                                eigenvalue_clouds=tuple(clouds),
                                filtered_cloud=filtered,
                                alpha_empirical=alpha_emp,

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import svds
 
-from .opcore import (OperatorPair, eigendecompose, is_tridiagonal, select_spectrum,
-                     tridiag_eigendecompose)
+from .opcore import OperatorPair, eigendecompose_pair, select_spectrum
 
 GRID_SPAN = 1e12
 SYM_TOL = 1e-12
@@ -97,17 +96,12 @@ def hankel_bound_check(kernel, c, n, t_max, span=GRID_SPAN) -> dict:
         for jj in range(i, n):
             key = nodes[i] + nodes[jj]
             if key not in cache:
-                cache[key] = np.atleast_2d(np.asarray(kernel_sum(kernel, key)))
+                cache[key] = np.atleast_2d(np.asarray(kernel(key), dtype=float))
             blk = root[i] * root[jj] * cache[key]
             big[i * kdim:(i + 1) * kdim, jj * kdim:(jj + 1) * kdim] = blk
             big[jj * kdim:(jj + 1) * kdim, i * kdim:(i + 1) * kdim] = blk.T
     norm = opnorm2(big)
     return {"norm": norm, "bound_ok": bool(norm <= np.pi * c + 1e-6)}
-
-
-def kernel_sum(kernel, ts):
-    """Kernel evaluated at t + s; separate hook so tests can wrap it."""
-    return np.asarray(kernel(ts), dtype=float)
 
 
 def gamma_tensor_spectrum(q: np.ndarray, n, t_max, span=GRID_SPAN) -> np.ndarray:
@@ -122,12 +116,6 @@ def gamma_tensor_spectrum(q: np.ndarray, n, t_max, span=GRID_SPAN) -> np.ndarray
     return np.sort(np.outer(wg, wq).ravel())
 
 
-def _decompose(pair, which):
-    if is_tridiagonal(pair):
-        return tridiag_eigendecompose(pair, which)
-    return eigendecompose(pair.h0 if which == "free" else pair.h)
-
-
 def build_l_operators(pair: OperatorPair, lam, n, t_max, span=GRID_SPAN) -> dict:
     """Discretized L0, L and the residual of E(-1,0) E0(0,1) = -L J L0^*.
 
@@ -138,8 +126,7 @@ def build_l_operators(pair: OperatorPair, lam, n, t_max, span=GRID_SPAN) -> dict
     """
     nodes, weights = graded_grid(n, t_max, span)
     root = np.sqrt(weights)
-    dec0 = _decompose(pair, "free")
-    dec1 = _decompose(pair, "full")
+    dec0, dec1 = eigendecompose_pair(pair)
     sel0 = select_spectrum(dec0.eigenvalues, lam, lam + 1.0)
     sel1 = select_spectrum(dec1.eigenvalues, lam - 1.0, lam)
     w0 = dec0.eigenvalues - lam

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .alpha import alpha_derivative, alpha_smatrix, d_spectrum_ladder, fredholm_check
+from . import alpha, opcore, pcfunc, resolvent, scatter1d
+from .alpha import alpha_derivative, alpha_smatrix, d_spectrum_ladders, fredholm_check
 from .opcore import ModelSpec, build_model
 from .pcfunc import (PiecewiseFn, accumulation_set, empirical_spectrum,
                      hausdorff, predicted_ess_spectrum)
@@ -26,24 +27,27 @@ from .scatter1d import smatrix_stationary, smatrix_transfer
 KINDS = ("alpha_sweep", "d_ladder", "phi_check", "hankel_suite",
          "fredholm_sweep", "scattering_compare")
 
+# the module constants the code reads: the values in force
 TOLERANCE_TABLE = {
-    "band_margin": 0.1,
-    "factorization": 1e-12,
-    "projection_idempotence": 1e-9,
-    "psd_floor": 1e-10,
-    "inversion_identity": 1e-9,
-    "resonance_cond": 1e12,
-    "alpha_cap": 1e-6,
-    "kernel_tol": 1e-6,
-    "unitarity": 1e-10,
-    "stationary_z_normalization": 1e-9,
-    "eps_n_min": 50.0,
-    "transient_move": 0.1,
-    "pm_one": 1e-6,
-    "accumulation": 0.02,
+    "band_margin": resolvent.BAND_MARGIN,
+    "spectral_point_ulps": opcore.SPECTRAL_POINT_ULPS,
+    "psd_floor": resolvent.PSD_TOL,
+    "inversion_identity": resolvent.INV_IDENTITY_TOL,
+    "resonance_cond": resolvent.RESONANCE_COND,
+    "alpha_cap": alpha.ALPHA_CAP_TOL,
+    "kernel_tol": alpha.KERNEL_TOL,
+    "unitarity": alpha.UNITARITY_TOL,
+    "scattering_unitarity": scatter1d.UNITARITY_TOL,
+    "stationary_z_normalization": scatter1d.C6_TOL,
+    "eps_n_min": alpha.EPSN_MIN,
+    "transient_move": alpha.TRANSIENT_MOVE,
+    "pm_one": alpha.PM_ONE_TOL,
+    "accumulation": pcfunc.ACCUMULATION_TOL,
 }
+# config overrides that take effect (validate reports any other)
+APPLIED_TOLERANCES = ("band_margin",)
 
-TOLERANCE_VERSION = 1
+TOLERANCE_VERSION = 2
 
 
 class ConfigError(ValueError):
@@ -125,7 +129,7 @@ class ExperimentConfig:
 
     def tolerance_table(self):
         table = dict(TOLERANCE_TABLE)
-        table.update(dict(self.tolerances))
+        table.update((k, v) for k, v in self.tolerances if k in APPLIED_TOLERANCES)
         return table
 
 
@@ -153,6 +157,9 @@ def validate(config: ExperimentConfig):
     top of the structural checks that would stop a run.
     """
     diags = _fatal_diagnostics(config)
+    for key, _ in config.tolerances:
+        if key not in APPLIED_TOLERANCES:
+            diags.append(f"tolerance override {key!r} is not applied")
     margin = config.tolerance_table()["band_margin"]
     for lam in config.lambda_grid:
         if config.model.kind == "lattice1d" and abs(lam) > 2.0 - margin \
@@ -239,12 +246,13 @@ def _run_alpha_sweep(config, emit, record):
 
 
 def _run_d_ladder(config, emit, record):
-    for lam in config.lambda_grid:
-        try:
-            est = d_spectrum_ladder(config.model, lam, config.n_list)
-            emit.write(f"d_ladder_lambda_{lam:+.6g}.json", est.to_json())
-        except Exception as exc:
-            record.errors.append({"lambda": lam, "error": str(exc)})
+    try:
+        ests = d_spectrum_ladders(config.model, config.lambda_grid, config.n_list)
+    except Exception as exc:
+        record.errors.extend({"lambda": lam, "error": str(exc)} for lam in config.lambda_grid)
+        return
+    for lam, est in zip(config.lambda_grid, ests):
+        emit.write(f"d_ladder_lambda_{lam:+.6g}.json", est.to_json())
 
 
 def _run_phi_check(config, emit, record):

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 SYM_TOL = 1e-10
-FACTOR_TOL = 1e-12
 # An eigenvalue within SPECTRAL_POINT_ULPS * eps * ||M|| of a spectral point
 # counts as equal to it.  Roundoff puts an exact eigenvalue at most a few
 # eps * ||M|| off (<= 6.5e-16 for the lattice1d H0, N = 2..8000), while true
@@ -208,8 +207,16 @@ def tridiag_eigendecompose(pair: OperatorPair, which: str) -> SpectralDecomposit
     m = pair.h0 if which == "free" else pair.h
     d = np.diag(m).copy()
     e = np.diag(m, 1).copy()
+    del m                       # H = H0 + V is a dense temporary: free it before the solve
     w, vecs = eigh_tridiagonal(d, e)
     return SpectralDecomposition(eigenvalues=w, eigenvectors=vecs, residual_bound=0.0)
+
+
+def eigendecompose_pair(pair: OperatorPair):
+    """(H0, H) decompositions: tridiag_eigendecompose if tridiagonal, else dense."""
+    if is_tridiagonal(pair):
+        return tridiag_eigendecompose(pair, "free"), tridiag_eigendecompose(pair, "full")
+    return eigendecompose(pair.h0), eigendecompose(pair.h)
 
 
 def spectral_point_tol(scale: float) -> float:
@@ -252,6 +259,18 @@ def select_spectrum(w, lo=-np.inf, hi=np.inf, closed="neither", scale=None) -> n
     return left & right
 
 
+def spectral_block(w, vecs, hi, closed="neither") -> np.ndarray:
+    """Prefix view vecs[:, :k] of the eigenvectors for ascending w below hi (select_spectrum)."""
+    return vecs[:, :int(np.count_nonzero(select_spectrum(w, hi=hi, closed=closed)))]
+
+
+def projection_difference(b0: np.ndarray, b1: np.ndarray) -> np.ndarray:
+    """b1 b1^T - b0 b0^T, the projection difference of two orthonormal blocks."""
+    d = b1 @ b1.T
+    d -= b0 @ b0.T
+    return d
+
+
 def tridiag_window(m: np.ndarray, lo: float, hi: float, closed="neither"):
     """Eigenpairs of a symmetric tridiagonal m selected by select_spectrum.
 
@@ -278,7 +297,7 @@ def spectral_projection(dec: SpectralDecomposition, lam: float) -> np.ndarray:
     spectral_point_tol (SPECTRAL_POINT_ULPS * eps * ||M||) of lam equals lam
     and is left out, whichever sign its roundoff has (select_spectrum).
     """
-    vecs = dec.eigenvectors[:, select_spectrum(dec.eigenvalues, hi=lam)]
+    vecs = spectral_block(dec.eigenvalues, dec.eigenvectors, lam)
     return vecs @ vecs.T
 
 

@@ -9,18 +9,17 @@ runs the same truncation ladders as the projection-difference analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import json
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import LinearOperator, svds
 
 from .alpha import transient_filter
-from .opcore import (ModelSpec, OperatorPair, SpectralDecomposition, apply_function,
-                     build_model, eigendecompose, is_tridiagonal, select_spectrum,
-                     snap_to_points)
+from .opcore import (ModelSpec, OperatorPair, apply_function, build_model,
+                     eigendecompose_pair, projection_difference, snap_to_points,
+                     spectral_block)
 
 ACCUMULATION_TOL = 0.02
 BAND_MARGIN = 0.1
@@ -199,16 +198,6 @@ def predicted_ess_spectrum(phi: PiecewiseFn, alpha_fn, band_margin=BAND_MARGIN) 
     return SegmentUnion(endpoints=tuple(endpoints))
 
 
-def _eig_blocks(pair: OperatorPair, which):
-    m = pair.h0 if which == "free" else pair.h
-    if is_tridiagonal(pair):
-        d = np.diag(m).copy()
-        e = np.diag(m, 1).copy()
-        return eigh_tridiagonal(d, e)
-    dec = eigendecompose(m)
-    return dec.eigenvalues, dec.eigenvectors
-
-
 def symbol_difference(pair: OperatorPair, phi: PiecewiseFn) -> np.ndarray:
     """Dense phi(H) - phi(H0) by spectral calculus.
 
@@ -220,16 +209,14 @@ def symbol_difference(pair: OperatorPair, phi: PiecewiseFn) -> np.ndarray:
     bit-identical with the projection-difference ladder when the jump
     location misses both spectra.
     """
-    w0, v0 = _eig_blocks(pair, "free")
-    w1, v1 = _eig_blocks(pair, "full")
+    dec0, dec1 = eigendecompose_pair(pair)
     if phi.background == "zero" and phi.jumps:
         acc = None
         for loc, lo, hi in phi.jumps:
             kappa = hi - lo
-            b1 = v1[:, select_spectrum(w1, hi=loc, closed="right")].copy()
-            b0 = v0[:, select_spectrum(w0, hi=loc, closed="right")].copy()
-            m = b1 @ b1.T
-            m -= b0 @ b0.T
+            b0, b1 = (spectral_block(dec.eigenvalues, dec.eigenvectors, loc, closed="right")
+                      for dec in (dec0, dec1))
+            m = projection_difference(b0, b1)
             if kappa.imag != 0:
                 m = m * (-kappa)
             elif kappa != -1.0:
@@ -237,16 +224,9 @@ def symbol_difference(pair: OperatorPair, phi: PiecewiseFn) -> np.ndarray:
             acc = m if acc is None else acc + m
         return acc if acc is not None else np.zeros_like(pair.h0)
     locs = [loc for loc, _, _ in phi.jumps]
-    dec0 = SpectralDecomposition(eigenvalues=snap_to_points(w0, locs), eigenvectors=v0,
-                                 residual_bound=0.0)
-    dec1 = SpectralDecomposition(eigenvalues=snap_to_points(w1, locs), eigenvectors=v1,
-                                 residual_bound=0.0)
+    dec0, dec1 = (replace(dec, eigenvalues=snap_to_points(dec.eigenvalues, locs))
+                  for dec in (dec0, dec1))
     return apply_function(dec1, phi) - apply_function(dec0, phi)
-
-
-def _respec(spec: ModelSpec, n):
-    return ModelSpec(kind=spec.kind, n_half=int(n), potential=spec.potential,
-                     decay_rate=spec.decay_rate, seed=spec.seed)
 
 
 def empirical_spectrum(spec: ModelSpec, phi: PiecewiseFn, n_list) -> dict:
@@ -264,7 +244,7 @@ def empirical_spectrum(spec: ModelSpec, phi: PiecewiseFn, n_list) -> dict:
         raise SymbolError("n_list must be ascending and non-empty")
     clouds = []
     for n in n_list:
-        pair = build_model(_respec(spec, n))
+        pair = build_model(replace(spec, n_half=n))
         delta = symbol_difference(pair, phi)
         clouds.append(np.linalg.eigvalsh(delta))
     if len(clouds) >= 2:
@@ -318,7 +298,7 @@ def cross_term_compactness(spec: ModelSpec, phi1: PiecewiseFn, phi2: PiecewiseFn
         raise SymbolError("need at least 2 ladder rungs")
     rows = []
     for n in n_list:
-        pair = build_model(_respec(spec, n))
+        pair = build_model(replace(spec, n_half=n))
         d1 = symbol_difference(pair, phi1)
         d2 = symbol_difference(pair, phi2)
         dim = d1.shape[0]

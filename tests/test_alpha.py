@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from specdiff.alpha import (AlphaError, AlphaEstimate, alpha_derivative,
+from specdiff.alpha import (AlphaError, AlphaEstimate, _b4_residual_norm, alpha_derivative,
                             alpha_proj_limit, alpha_smatrix, d_spectrum_ladder,
-                            fredholm_check, stilde_matrix, transient_filter)
-from specdiff.opcore import ModelSpec, build_model
+                            d_spectrum_ladders, fredholm_check, stilde_matrix,
+                            transient_filter)
+from specdiff.opcore import ModelSpec, build_model, eigendecompose_pair, spectral_block
 from specdiff.resolvent import boundary_value
 
 
@@ -120,6 +122,88 @@ def test_ladder_cloud_statistics():
     assert all(r <= 1e-9 for r in est.b4_residuals)
     assert est.alpha_empirical <= 1.0 + 1e-8
     assert est.fill_distance >= 0.0
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec("lattice1d", 10, ((0, 1.0),)),
+    ModelSpec("random_traceclass", 10, decay_rate=2.0, seed=3),
+])
+def test_ladders_match_one_lambda_ladders_bitwise(spec):
+    lams = (-1.0, 0.0, 0.7)
+    n_list = (20, 40, 80)
+    many = d_spectrum_ladders(spec, lams, n_list)
+    assert len(many) == len(lams)
+    for lam, est in zip(lams, many):
+        one = d_spectrum_ladder(spec, lam, n_list)
+        assert est.lam == one.lam and est.n_list == one.n_list
+        assert all(np.array_equal(a, b) for a, b in zip(est.eigenvalue_clouds,
+                                                        one.eigenvalue_clouds))
+        assert np.array_equal(est.filtered_cloud, one.filtered_cloud)
+        assert est.b4_residuals == one.b4_residuals
+        assert est.to_json() == one.to_json()
+    assert d_spectrum_ladders(spec, (), n_list) == ()
+    with pytest.raises(AlphaError):
+        d_spectrum_ladders(spec, lams, (40, 20, 80))
+
+
+def test_ladders_solve_each_rung_once(monkeypatch):
+    real = scipy.linalg.eigh_tridiagonal
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counting)
+    spec = ModelSpec("lattice1d", 10, ((0, 1.0),))
+    n_list = (20, 40, 80)
+    for lams in ((0.3,), (-1.0, 0.0, 0.7, -3.0)):
+        calls.clear()
+        d_spectrum_ladders(spec, lams, n_list)
+        assert len(calls) == 2 * len(n_list)       # one solve of H0 and one of H
+
+
+def _b4_residual_reference(v0n, v1n, iters=60, seed=1234):
+    """The D^2 residual as first written: p0(x) formed three times per iteration."""
+    n = v0n.shape[0]
+
+    def p0(x):
+        return v0n @ (v0n.T @ x)
+
+    def p1(x):
+        return v1n @ (v1n.T @ x)
+
+    def resid(x):
+        d = lambda y: p1(y) - p0(y)
+        t1 = d(d(x))
+        t2 = p0(x) - p0(p1(p0(x)))
+        xm = x - p0(x)
+        t3 = p1(xm) - p0(p1(xm))
+        return t1 - t2 - t3
+
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n)
+    x /= np.linalg.norm(x)
+    est = 0.0
+    for _ in range(iters):
+        y = resid(x)
+        nrm = np.linalg.norm(y)
+        if nrm == 0.0:
+            return 0.0
+        est = nrm
+        x = y / nrm
+    return float(est)
+
+
+def test_b4_residual_matches_the_reference_formula_bitwise():
+    pair = build_model(ModelSpec("lattice1d", 60, ((0, 1.0), (2, -0.5))))
+    for lam in (-1.0, 0.0, 0.3):
+        v0n, v1n = (spectral_block(dec.eigenvalues, dec.eigenvectors, lam)
+                    for dec in eigendecompose_pair(pair))
+        for a, b in ((v0n, v1n), (v0n.copy(), v1n.copy())):
+            assert _b4_residual_norm(a, b) == _b4_residual_reference(a, b)
+    empty = np.zeros((5, 0))
+    assert _b4_residual_norm(empty, empty) == _b4_residual_reference(empty, empty) == 0.0
 
 
 def test_transient_filter_drops_movers():

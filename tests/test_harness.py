@@ -2,11 +2,15 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import specdiff
+from specdiff import harness
 from specdiff.cli import main
 from specdiff.harness import ConfigError, ExperimentConfig, run, validate
 
@@ -172,3 +176,61 @@ def test_phi_and_hankel_and_fredholm_kinds(tmp_path):
     record = run(ExperimentConfig.from_json(json.dumps(doc)))
     rows = (tmp_path / "fr" / "fredholm_sweep.csv").read_text().strip().splitlines()[1:]
     assert all(int(r.split(",")[3]) == 1 for r in rows)
+
+
+def test_d_ladder_records_one_error_per_lambda(tmp_path):
+    # an unsorted ladder passes the static checks and fails in the shared call
+    doc = _config(tmp_path, kind="d_ladder", lambda_grid=[-1.0, 0.0, 0.7],
+                  n_list=[40, 20, 80])
+    record = run(ExperimentConfig.from_json(json.dumps(doc)))
+    assert record.status == "partial"
+    assert [e["lambda"] for e in record.errors] == [-1.0, 0.0, 0.7]
+    assert all("ascending" in e["error"] for e in record.errors)
+    assert not record.files
+
+    doc = _config(tmp_path, kind="d_ladder", lambda_grid=[-1.0, 0.7],
+                  n_list=[20, 40, 80], output_dir=str(tmp_path / "ok"))
+    record = run(ExperimentConfig.from_json(json.dumps(doc)))
+    assert record.status == "complete"
+    assert set(record.files) == {"d_ladder_lambda_-1.json", "d_ladder_lambda_+0.7.json"}
+
+
+def test_tolerance_table_reports_the_constants_in_force(tmp_path):
+    from specdiff import alpha, pcfunc, resolvent
+    table = harness.TOLERANCE_TABLE
+    assert table["unitarity"] == alpha.UNITARITY_TOL == 1e-6
+    assert table["band_margin"] == resolvent.BAND_MARGIN
+    assert table["accumulation"] == pcfunc.ACCUMULATION_TOL
+    assert "factorization" not in table and "projection_idempotence" not in table
+    doc = _config(tmp_path, tolerances={"band_margin": 1.6, "unitarity": 1e-3})
+    cfg = ExperimentConfig.from_json(json.dumps(doc))
+    diags = validate(cfg)
+    assert any("'unitarity' is not applied" in d for d in diags)
+    # the applied override moves the band-edge check: |0.5| > 2 - 1.6
+    assert any("lambda=0.5 within band_margin" in d for d in diags)
+    assert not any("band_margin" in d and "not applied" in d for d in diags)
+    assert cfg.tolerance_table() == dict(table, band_margin=1.6)
+
+
+def test_threads_option_takes_effect_before_numpy_loads(tmp_path):
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("needs /proc/self/status for the thread count")
+    cfg_path = _write(tmp_path, _config(tmp_path))
+    script = "\n".join((
+        "import sys",
+        "import specdiff.cli",
+        "assert 'numpy' not in sys.modules, 'importing specdiff.cli loaded numpy'",
+        "try:",
+        "    specdiff.cli.main(['--threads', '1', 'validate', '--config', sys.argv[1]])",
+        "except SystemExit as exc:",
+        "    assert exc.code == 0, exc.code",
+        "assert 'numpy' in sys.modules",
+        "with open('/proc/self/status') as fh:",
+        "    print(next(line.split()[1] for line in fh if line.startswith('Threads:')))",
+    ))
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(specdiff.__file__)))
+    out = subprocess.run([sys.executable, "-c", script, cfg_path], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["config", "ok", "1"]

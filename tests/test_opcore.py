@@ -106,8 +106,8 @@ def test_spectral_projection_extremes_and_rank():
     dec = eigendecompose(pair.h0)
     assert np.array_equal(spectral_projection(dec, -10.0), np.zeros((5, 5)))
     assert np.allclose(spectral_projection(dec, 10.0), np.eye(5), atol=1e-12)
-    # the middle Dirichlet eigenvalue is exactly 0; the tridiagonal solver
-    # resolves it on the positive side, so the strict-below window has rank 2
+    # the middle Dirichlet eigenvalue is exactly 0; whatever sign roundoff
+    # gives it, it is not strictly below 0, so the exact-arithmetic rank is 2
     dec = tridiag_eigendecompose(pair, "free")
     p = spectral_projection(dec, 0.0)
     assert np.trace(p) == pytest.approx(2.0, abs=1e-10)
