@@ -17,7 +17,7 @@ import numpy as np
 from .opcore import (ModelSpec, OperatorPair, build_model, eigendecompose_pair,
                      is_tridiagonal, projection_difference, select_spectrum,
                      spectral_block, tridiag_window)
-from .resolvent import BoundaryValue
+from .resolvent import BAND_MARGIN, BoundaryValue
 
 ALPHA_CAP_TOL = 1e-6
 KERNEL_TOL = 1e-6
@@ -131,7 +131,7 @@ def _window_block(pair: OperatorPair, which: str, lo: float, hi: float) -> np.nd
 
 
 def alpha_proj_limit(pair: OperatorPair, lam, eps_schedule,
-                     band_margin=0.1) -> AlphaEstimate:
+                     band_margin=BAND_MARGIN) -> AlphaEstimate:
     """Window-projection route on a finite truncation.
 
     For each eps computes (pi/2eps) ||(G E0(win))^T J G E(win)|| and

@@ -13,6 +13,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -24,10 +25,8 @@ from .pcfunc import (PiecewiseFn, accumulation_set, empirical_spectrum,
 from .resolvent import boundary_value
 from .scatter1d import smatrix_stationary, smatrix_transfer
 
-KINDS = ("alpha_sweep", "d_ladder", "phi_check", "hankel_suite",
-         "fredholm_sweep", "scattering_compare")
-
-# the module constants the code reads: the values in force
+# the module constants the code reads: the values in force (config overrides
+# are not applied; validate reports them)
 TOLERANCE_TABLE = {
     "band_margin": resolvent.BAND_MARGIN,
     "spectral_point_ulps": opcore.SPECTRAL_POINT_ULPS,
@@ -44,10 +43,8 @@ TOLERANCE_TABLE = {
     "pm_one": alpha.PM_ONE_TOL,
     "accumulation": pcfunc.ACCUMULATION_TOL,
 }
-# config overrides that take effect (validate reports any other)
-APPLIED_TOLERANCES = ("band_margin",)
 
-TOLERANCE_VERSION = 2
+TOLERANCE_VERSION = 3
 
 
 class ConfigError(ValueError):
@@ -127,17 +124,11 @@ class ExperimentConfig:
     def config_hash(self):
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
-    def tolerance_table(self):
-        table = dict(TOLERANCE_TABLE)
-        table.update((k, v) for k, v in self.tolerances if k in APPLIED_TOLERANCES)
-        return table
-
 
 def _fatal_diagnostics(config: ExperimentConfig):
     """Structural problems that prevent the run from starting at all."""
     diags = []
-    needs_grid = config.kind in ("alpha_sweep", "d_ladder", "fredholm_sweep",
-                                 "scattering_compare")
+    _, needs_grid = _DISPATCH[config.kind]
     if needs_grid and not config.lambda_grid:
         diags.append("lambda_grid is empty")
     if config.kind == "d_ladder" and len(config.n_list) < 3:
@@ -158,9 +149,8 @@ def validate(config: ExperimentConfig):
     """
     diags = _fatal_diagnostics(config)
     for key, _ in config.tolerances:
-        if key not in APPLIED_TOLERANCES:
-            diags.append(f"tolerance override {key!r} is not applied")
-    margin = config.tolerance_table()["band_margin"]
+        diags.append(f"tolerance override {key!r} is not applied")
+    margin = TOLERANCE_TABLE["band_margin"]
     for lam in config.lambda_grid:
         if config.model.kind == "lattice1d" and abs(lam) > 2.0 - margin \
                 and config.kind != "d_ladder":
@@ -192,7 +182,7 @@ class RunRecord:
             "finished": self.finished,
             "files": self.files,
             "errors": self.errors,
-            "tolerances": config.tolerance_table(),
+            "tolerances": TOLERANCE_TABLE,
             "tolerance_version": TOLERANCE_VERSION,
         }, indent=2, sort_keys=True)
 
@@ -230,26 +220,57 @@ def _csv(header, rows):
     return "\n".join(lines) + "\n"
 
 
-def _run_alpha_sweep(config, emit, record):
+def _errors(lams, exc):
+    return [{"lambda": lam, "error": str(exc), "type": type(exc).__name__} for lam in lams]
+
+
+def _sweep(config, emit, record, filename, header, rows_fn):
+    """Rows of rows_fn(pair, bv, lam) over the lambda grid, from one built model.
+
+    A point that raises is recorded and the rest still run; if the model
+    cannot be built, every point is recorded.  The CSV is written either way.
+    """
     rows = []
-    for lam in config.lambda_grid:
-        try:
-            pair = build_model(config.model)
-            bv = boundary_value(pair, lam)
-            for est in (alpha_derivative(bv, pair.j), alpha_smatrix(bv, pair.j)):
-                rows.append((lam, est.route, est.value, bv.err_estimate, bv.route))
-        except Exception as exc:
-            record.errors.append({"lambda": lam, "error": str(exc)})
-    emit.write("alpha_sweep.csv",
-               _csv(("lambda", "route", "value", "err", "mode"), rows))
+    try:
+        pair = build_model(config.model)
+    except Exception as exc:
+        record.errors.extend(_errors(config.lambda_grid, exc))
+    else:
+        for lam in config.lambda_grid:
+            try:
+                rows.extend(rows_fn(pair, boundary_value(pair, lam), lam))
+            except Exception as exc:
+                record.errors.extend(_errors((lam,), exc))
+    emit.write(filename, _csv(header, rows))
     record.results["rows"] = len(rows)
+
+
+def _alpha_rows(pair, bv, lam):
+    return [(lam, est.route, est.value, bv.err_estimate, bv.route)
+            for est in (alpha_derivative(bv, pair.j), alpha_smatrix(bv, pair.j))]
+
+
+def _fredholm_rows(pair, bv, lam):
+    chk = fredholm_check(bv, pair.j)
+    return [(lam, chk["sigma_min_0"], chk["sigma_min_1"], int(chk["fredholm"]),
+             alpha_derivative(bv, pair.j).value)]
+
+
+def _scattering_rows(pair, bv, lam):
+    sc = smatrix_transfer(pair.spec.potential, lam)
+    s_stat = smatrix_stationary(pair, bv)
+    alpha_d = alpha_derivative(bv, pair.j).value
+    half_s = 0.5 * float(np.linalg.norm(sc.s - np.eye(2), 2))
+    half_stat = 0.5 * float(np.linalg.norm(s_stat - np.eye(2), 2))
+    return [(lam, abs(sc.t), abs(sc.r_plus), 2 * half_s, 2 * half_stat,
+             alpha_d, abs(half_s - alpha_d))]
 
 
 def _run_d_ladder(config, emit, record):
     try:
         ests = d_spectrum_ladders(config.model, config.lambda_grid, config.n_list)
     except Exception as exc:
-        record.errors.extend({"lambda": lam, "error": str(exc)} for lam in config.lambda_grid)
+        record.errors.extend(_errors(config.lambda_grid, exc))
         return
     for lam, est in zip(config.lambda_grid, ests):
         emit.write(f"d_ladder_lambda_{lam:+.6g}.json", est.to_json())
@@ -257,9 +278,9 @@ def _run_d_ladder(config, emit, record):
 
 def _run_phi_check(config, emit, record):
     phi = config.phi
+    pair = build_model(config.model)
 
     def alpha_fn(lam):
-        pair = build_model(config.model)
         return alpha_derivative(boundary_value(pair, lam), pair.j).value
 
     pred = predicted_ess_spectrum(phi, alpha_fn)
@@ -303,53 +324,25 @@ def _run_hankel_suite(config, emit, record):
     record.results.update(out)
 
 
-def _run_fredholm_sweep(config, emit, record):
-    rows = []
-    for lam in config.lambda_grid:
-        try:
-            pair = build_model(config.model)
-            bv = boundary_value(pair, lam)
-            chk = fredholm_check(bv, pair.j)
-            alpha = alpha_derivative(bv, pair.j).value
-            rows.append((lam, chk["sigma_min_0"], chk["sigma_min_1"],
-                         int(chk["fredholm"]), alpha))
-        except Exception as exc:
-            record.errors.append({"lambda": lam, "error": str(exc)})
-    emit.write("fredholm_sweep.csv",
-               _csv(("lambda", "sigma_min_0", "sigma_min_1", "fredholm", "alpha"), rows))
-    record.results["rows"] = len(rows)
-
-
-def _run_scattering_compare(config, emit, record):
-    rows = []
-    for lam in config.lambda_grid:
-        try:
-            pair = build_model(config.model)
-            bv = boundary_value(pair, lam)
-            sc = smatrix_transfer(config.model.potential, lam)
-            s_stat = smatrix_stationary(pair, bv)
-            alpha = alpha_derivative(bv, pair.j).value
-            half_s = 0.5 * float(np.linalg.norm(sc.s - np.eye(2), 2))
-            half_stat = 0.5 * float(np.linalg.norm(s_stat - np.eye(2), 2))
-            rows.append((lam, abs(sc.t), abs(sc.r_plus), 2 * half_s, 2 * half_stat,
-                         alpha, abs(half_s - alpha)))
-        except Exception as exc:
-            record.errors.append({"lambda": lam, "error": str(exc)})
-    emit.write("scattering_compare.csv",
-               _csv(("lambda", "abs_t", "abs_r", "norm_S_minus_I",
-                     "norm_S_stationary_minus_I", "alpha_derivative",
-                     "discrepancy"), rows))
-    record.results["rows"] = len(rows)
-
-
 _DISPATCH = {
-    "alpha_sweep": _run_alpha_sweep,
-    "d_ladder": _run_d_ladder,
-    "phi_check": _run_phi_check,
-    "hankel_suite": _run_hankel_suite,
-    "fredholm_sweep": _run_fredholm_sweep,
-    "scattering_compare": _run_scattering_compare,
+    # kind: (runner(config, emit, record), needs a lambda grid)
+    "alpha_sweep": (partial(_sweep, filename="alpha_sweep.csv",
+                            header=("lambda", "route", "value", "err", "mode"),
+                            rows_fn=_alpha_rows), True),
+    "d_ladder": (_run_d_ladder, True),
+    "phi_check": (_run_phi_check, False),
+    "hankel_suite": (_run_hankel_suite, False),
+    "fredholm_sweep": (partial(_sweep, filename="fredholm_sweep.csv",
+                               header=("lambda", "sigma_min_0", "sigma_min_1",
+                                       "fredholm", "alpha"),
+                               rows_fn=_fredholm_rows), True),
+    "scattering_compare": (partial(_sweep, filename="scattering_compare.csv",
+                                   header=("lambda", "abs_t", "abs_r", "norm_S_minus_I",
+                                           "norm_S_stationary_minus_I",
+                                           "alpha_derivative", "discrepancy"),
+                                   rows_fn=_scattering_rows), True),
 }
+KINDS = tuple(_DISPATCH)
 
 
 def run(config: ExperimentConfig, overwrite=False) -> RunRecord:
@@ -370,7 +363,8 @@ def run(config: ExperimentConfig, overwrite=False) -> RunRecord:
     record = RunRecord(config_hash=config.config_hash(), status="running",
                        started=time.time())
     emit = _Emitter(out_dir, record)
-    _DISPATCH[config.kind](config, emit, record)
+    runner, _ = _DISPATCH[config.kind]
+    runner(config, emit, record)
     record.finished = time.time()
     record.status = "partial" if record.errors else "complete"
     _write_atomic(manifest_path, record.manifest(config))

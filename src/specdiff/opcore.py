@@ -196,7 +196,7 @@ def eigendecompose(m: np.ndarray) -> SpectralDecomposition:
     if asym > SYM_TOL * max(1.0, np.linalg.norm(m, np.inf)):
         raise ModelError(f"matrix not symmetric (asymmetry {asym:.3e})")
     w, vecs = np.linalg.eigh((m + m.T) / 2)
-    resid = np.linalg.norm(m @ vecs - vecs * w, 2)
+    resid = np.linalg.norm(m @ vecs - vecs * w)     # Frobenius: bounds the 2-norm, no SVD
     return SpectralDecomposition(eigenvalues=w, eigenvectors=vecs, residual_bound=float(resid))
 
 

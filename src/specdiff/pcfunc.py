@@ -20,9 +20,9 @@ from .alpha import transient_filter
 from .opcore import (ModelSpec, OperatorPair, apply_function, build_model,
                      eigendecompose_pair, projection_difference, snap_to_points,
                      spectral_block)
+from .resolvent import BAND_MARGIN
 
 ACCUMULATION_TOL = 0.02
-BAND_MARGIN = 0.1
 
 _BACKGROUNDS = ("zero", "gaussian_bump", "arctan_step_smoothed")
 

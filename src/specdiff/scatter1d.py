@@ -13,9 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .opcore import OperatorPair
-from .resolvent import BoundaryValue
+from .resolvent import BAND_MARGIN, BoundaryValue
 
-BAND_MARGIN = 0.1
 UNITARITY_TOL = 1e-10
 C6_TOL = 1e-9
 

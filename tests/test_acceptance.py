@@ -8,6 +8,7 @@ the way are registered so the final global-cap criterion sweeps all of them.
 import functools
 
 import numpy as np
+import pytest
 
 from specdiff.alpha import (alpha_derivative, alpha_proj_limit, alpha_smatrix,
                             d_spectrum_ladder, fredholm_check)
@@ -79,6 +80,7 @@ def test_criterion_02_scattering_bridge():
     assert worst_sv <= 1e-8
 
 
+@pytest.mark.slow
 def test_criterion_03_projection_limit_route():
     pair = build_model(ModelSpec("lattice1d", 4000, ((0, 0.5),)))
     ref = _register(alpha_derivative(_bv(0.5, 0.0), _pair(0.5).j).value)
@@ -89,6 +91,7 @@ def test_criterion_03_projection_limit_route():
     assert diff <= 5e-3
 
 
+@pytest.mark.slow
 def test_criterion_04_essential_spectrum_filling():
     ref = _register(alpha_derivative(_bv(1.0, 0.0), _pair(1.0).j).value)
     est = _ladder_c4()
@@ -105,6 +108,7 @@ def test_criterion_04_essential_spectrum_filling():
     assert est.fill_distance <= 0.05
 
 
+@pytest.mark.slow
 def test_criterion_05_off_spectrum_compactness():
     est = d_spectrum_ladder(ModelSpec("lattice1d", 1000, ((0, 0.5),)), -3.0,
                             (1000, 2000, 4000))
@@ -155,6 +159,7 @@ def test_criterion_08_fredholm_equivalence():
     assert ok_side and ok_coincide
 
 
+@pytest.mark.slow
 def test_criterion_09_phi_calculus():
     spec = ModelSpec("lattice1d", 1000, ((0, 1.0),))
     phi = PiecewiseFn(jumps=((-0.5, 0.0, 1.0), (0.5, 0.0, 0.5)))

@@ -109,6 +109,7 @@ def test_partial_run_records_errors(tmp_path):
     record = run(cfg)
     assert record.status == "partial"
     assert record.errors and record.errors[0]["lambda"] == 2.5
+    assert record.errors[0]["type"] == "ResolventError"
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["status"] == "partial"
 
@@ -186,6 +187,7 @@ def test_d_ladder_records_one_error_per_lambda(tmp_path):
     assert record.status == "partial"
     assert [e["lambda"] for e in record.errors] == [-1.0, 0.0, 0.7]
     assert all("ascending" in e["error"] for e in record.errors)
+    assert all(e["type"] == "AlphaError" for e in record.errors)
     assert not record.files
 
     doc = _config(tmp_path, kind="d_ladder", lambda_grid=[-1.0, 0.7],
@@ -206,10 +208,51 @@ def test_tolerance_table_reports_the_constants_in_force(tmp_path):
     cfg = ExperimentConfig.from_json(json.dumps(doc))
     diags = validate(cfg)
     assert any("'unitarity' is not applied" in d for d in diags)
-    # the applied override moves the band-edge check: |0.5| > 2 - 1.6
-    assert any("lambda=0.5 within band_margin" in d for d in diags)
-    assert not any("band_margin" in d and "not applied" in d for d in diags)
-    assert cfg.tolerance_table() == dict(table, band_margin=1.6)
+    # no override is applied: the band-edge check keeps the constant in force
+    assert any("'band_margin' is not applied" in d for d in diags)
+    assert not any("lambda=0.5 within band_margin" in d for d in diags)
+    run(cfg)
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["tolerances"] == table
+
+
+SWEEP_KINDS = ("alpha_sweep", "fredholm_sweep", "scattering_compare")
+PHI_DOC = {"jumps": [{"lambda": -0.5, "left": [0, 0], "right": [1, 0]},
+                     {"lambda": 0.5, "left": [0, 0], "right": [0.5, 0]}],
+           "background": {"name": "zero", "params": []}}
+
+
+@pytest.mark.parametrize("kind", SWEEP_KINDS + ("phi_check",))
+def test_one_model_build_per_config(tmp_path, monkeypatch, kind):
+    calls = []
+    original = harness.build_model
+
+    def counting_build(spec):
+        calls.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(harness, "build_model", counting_build)
+    extra = {"phi": PHI_DOC, "lambda_grid": []} if kind == "phi_check" else {}
+    doc = _config(tmp_path, kind=kind, **extra)
+    record = run(ExperimentConfig.from_json(json.dumps(doc)))
+    assert record.status == "complete"
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind", SWEEP_KINDS)
+def test_failed_build_records_every_point(tmp_path, monkeypatch, kind):
+    def failing_build(spec):
+        raise MemoryError("no room for the model")
+
+    monkeypatch.setattr(harness, "build_model", failing_build)
+    record = run(ExperimentConfig.from_json(json.dumps(_config(tmp_path, kind=kind))))
+    assert record.status == "partial"
+    assert record.errors == [{"lambda": lam, "error": "no room for the model",
+                              "type": "MemoryError"} for lam in (-0.5, 0.0, 0.5)]
+    lines = (tmp_path / "out" / f"{kind}.csv").read_text().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("lambda,")
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["status"] == "partial" and len(manifest["errors"]) == 3
 
 
 def test_threads_option_takes_effect_before_numpy_loads(tmp_path):

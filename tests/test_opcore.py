@@ -99,6 +99,8 @@ def test_orthonormality_and_residual():
     gram = dec.eigenvectors.T @ dec.eigenvectors
     assert np.linalg.norm(gram - np.eye(21), 2) <= 1e-10
     assert dec.residual_bound <= 1e-12
+    resid = pair.h @ dec.eigenvectors - dec.eigenvectors * dec.eigenvalues
+    assert dec.residual_bound >= np.linalg.norm(resid, 2)
 
 
 def test_spectral_projection_extremes_and_rank():
