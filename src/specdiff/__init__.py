@@ -21,7 +21,7 @@ _EXPORTS = {
     "hankelmodel": ("HankelDiscretization", "build_l_operators", "gamma_matrix",
                     "gamma_tensor_spectrum", "hankel_bound_check"),
     "opcore": ("ModelSpec", "OperatorPair", "SpectralDecomposition", "apply_function",
-               "build_model", "eigendecompose", "spectral_projection"),
+               "build_model", "eig", "eigendecompose", "spectral_projection"),
     "pcfunc": ("PiecewiseFn", "SegmentUnion", "accumulation_set", "cross_term_compactness",
                "empirical_spectrum", "hausdorff", "predicted_ess_spectrum",
                "union_formula_check"),

@@ -14,9 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .opcore import (ModelSpec, OperatorPair, build_model, eigendecompose_pair,
-                     is_tridiagonal, projection_difference, select_spectrum,
-                     spectral_block, tridiag_window)
+from .opcore import (ModelSpec, OperatorPair, build_model, eig, eigendecompose_pair,
+                     projection_difference, spectral_block)
 from .resolvent import BAND_MARGIN, BoundaryValue
 
 ALPHA_CAP_TOL = 1e-6
@@ -116,26 +115,12 @@ def alpha_smatrix(bv: BoundaryValue, j: np.ndarray) -> AlphaEstimate:
                          diagnostics=(("unitarity_defect", defect),))
 
 
-def _window_block(pair: OperatorPair, which: str, lo: float, hi: float) -> np.ndarray:
-    """G times the eigenvector block of H0/H with eigenvalues in (lo, hi).
-
-    The window is open in exact arithmetic (opcore.select_spectrum).
-    """
-    m = pair.h0 if which == "free" else pair.h
-    if is_tridiagonal(pair):
-        _, vecs = tridiag_window(m, lo, hi)
-    else:
-        w, vecs = np.linalg.eigh(m)
-        vecs = vecs[:, select_spectrum(w, lo, hi)]
-    return pair.g @ vecs
-
-
-def alpha_proj_limit(pair: OperatorPair, lam, eps_schedule,
-                     band_margin=BAND_MARGIN) -> AlphaEstimate:
+def alpha_proj_limit(pair: OperatorPair, lam, eps_schedule) -> AlphaEstimate:
     """Window-projection route on a finite truncation.
 
-    For each eps computes (pi/2eps) ||(G E0(win))^T J G E(win)|| and
-    extrapolates linearly in eps from the two smallest scheduled values.
+    For each eps computes (pi/2eps) ||(G E0(win))^T J G E(win)|| over the
+    open window win = (lam - eps, lam + eps) (opcore.eig) and extrapolates
+    linearly in eps from the two smallest scheduled values.
     """
     eps_schedule = sorted(set(float(e) for e in eps_schedule), reverse=True)
     if not eps_schedule:
@@ -145,15 +130,15 @@ def alpha_proj_limit(pair: OperatorPair, lam, eps_schedule,
         if e * n < EPSN_MIN:
             raise AlphaError(f"eps*N = {e * n:.1f} < {EPSN_MIN}: window too narrow "
                              "for the truncation")
-    if pair.spec.kind == "lattice1d" and abs(lam) > 2.0 - band_margin:
+    if pair.spec.kind == "lattice1d" and abs(lam) > 2.0 - BAND_MARGIN:
         raise AlphaError(f"lambda={lam} within band_margin of the band edge")
     diag = []
     for e in eps_schedule:
         if pair.k_dim == 0:
             diag.append((e, 0.0))
             continue
-        b0 = _window_block(pair, "free", lam - e, lam + e)
-        b1 = _window_block(pair, "full", lam - e, lam + e)
+        b0, b1 = (pair.g @ eig(pair, which, lam - e, lam + e).eigenvectors
+                  for which in ("free", "full"))
         val = (np.pi / (2.0 * e)) * float(np.linalg.norm(b0.T @ pair.j @ b1, 2))
         diag.append((e, val))
     if len(diag) >= 2:
@@ -203,17 +188,21 @@ def _b4_residual_norm(v0n, v1n, iters=60, seed=1234):
     return float(est)
 
 
+def nearest_distances(x, points):
+    """|x_i - p| for the nearest p of the ascending, non-empty real points, for each x_i."""
+    pos = np.searchsorted(points, x)
+    lo = np.clip(pos - 1, 0, points.size - 1)
+    hi = np.clip(pos, 0, points.size - 1)
+    return np.minimum(np.abs(x - points[lo]), np.abs(x - points[hi]))
+
+
 def transient_filter(cloud, prev_cloud, move_tol=TRANSIENT_MOVE):
     """Drop eigenvalues that moved by more than move_tol since the previous rung."""
     cloud = np.sort(np.asarray(cloud))
     prev = np.sort(np.asarray(prev_cloud))
     if prev.size == 0:
         return cloud[np.abs(cloud) <= move_tol]
-    pos = np.searchsorted(prev, cloud)
-    lo = np.clip(pos - 1, 0, prev.size - 1)
-    hi = np.clip(pos, 0, prev.size - 1)
-    dist = np.minimum(np.abs(cloud - prev[lo]), np.abs(cloud - prev[hi]))
-    return cloud[dist <= move_tol]
+    return cloud[nearest_distances(cloud, prev) <= move_tol]
 
 
 def d_spectrum_ladders(spec: ModelSpec, lams, n_list) -> tuple:
@@ -273,22 +262,22 @@ def _ess_estimate(lam, n_list, clouds, residuals) -> EssSpectrumEstimate:
                                b4_residuals=tuple(residuals))
 
 
-def fredholm_check(bv: BoundaryValue, j: np.ndarray, kernel_tol=KERNEL_TOL) -> dict:
+def fredholm_check(bv: BoundaryValue, j: np.ndarray) -> dict:
     """Theorem-level equivalence check for the Fredholm property of the pair.
 
     sigma_min_0 = smallest singular value of I + A0(lambda) J,
     sigma_min_1 = smallest singular value of I - A(lambda) J; both must land
-    on the same side of kernel_tol.
+    on the same side of KERNEL_TOL.
     """
     k = bv.a0.shape[0]
     if k == 0:
         return {"sigma_min_0": 1.0, "sigma_min_1": 1.0, "fredholm": True}
     s0 = float(np.linalg.svd(np.eye(k) + bv.a0 @ j, compute_uv=False).min())
     s1 = float(np.linalg.svd(np.eye(k) - bv.a @ j, compute_uv=False).min())
-    side0 = s0 > kernel_tol
-    side1 = s1 > kernel_tol
+    side0 = s0 > KERNEL_TOL
+    side1 = s1 > KERNEL_TOL
     if side0 != side1:
         raise AlphaError(
             f"Fredholm equivalence violated: sigma_min_0={s0:.3e}, "
-            f"sigma_min_1={s1:.3e} straddle kernel_tol={kernel_tol:.1e}")
+            f"sigma_min_1={s1:.3e} straddle kernel_tol={KERNEL_TOL:.1e}")
     return {"sigma_min_0": s0, "sigma_min_1": s1, "fredholm": side0}

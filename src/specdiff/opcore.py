@@ -8,7 +8,7 @@ spectral projections E(-inf, lambda) and functions of operators phi(H).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -200,23 +200,43 @@ def eigendecompose(m: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=w, eigenvectors=vecs, residual_bound=float(resid))
 
 
-def tridiag_eigendecompose(pair: OperatorPair, which: str) -> SpectralDecomposition:
-    """Fast eigendecomposition of H0 ('free') or H ('full') for tridiagonal models."""
-    from scipy.linalg import eigh_tridiagonal
+def eig(pair: OperatorPair, which: str, lo=-np.inf, hi=np.inf,
+        closed="neither") -> SpectralDecomposition:
+    """Eigenpairs of H0 (which='free') or H ('full') between lo and hi (select_spectrum).
 
-    m = pair.h0 if which == "free" else pair.h
-    d = np.diag(m).copy()
-    e = np.diag(m, 1).copy()
-    del m                       # H = H0 + V is a dense temporary: free it before the solve
-    w, vecs = eigh_tridiagonal(d, e)
-    return SpectralDecomposition(eigenvalues=w, eigenvectors=vecs, residual_bound=0.0)
+    The one eigensolver of a model pair.  Tridiagonal models are solved by
+    eigh_tridiagonal on the diagonals of H0 and V, so no dense H is formed; a
+    window is solved as a window, widened by the on-point tolerance (with the
+    Gershgorin bound on ||M|| as scale) so that an eigenvalue on an endpoint
+    is found whichever side roundoff puts it.  Dense models go through
+    eigendecompose.  The whole spectrum (the default) is returned unselected.
+    """
+    from scipy import linalg            # looked up at call time, so it can be swapped
+
+    whole = lo == -np.inf and hi == np.inf
+    scale = None
+    if is_tridiagonal(pair):
+        d, e = np.diag(pair.h0), np.diag(pair.h0, 1)
+        if which == "full":
+            d, e = d + np.diag(pair.v), e + np.diag(pair.v, 1)
+        window = {}
+        if not whole:
+            scale = float(np.max(np.abs(d)) + 2.0 * np.max(np.abs(e), initial=0.0))
+            pad = 2.0 * spectral_point_tol(scale)
+            window = {"select": "v", "select_range": (lo - pad, hi + pad)}
+        w, vecs = linalg.eigh_tridiagonal(d, e, **window)
+        dec = SpectralDecomposition(eigenvalues=w, eigenvectors=vecs, residual_bound=0.0)
+    else:
+        dec = eigendecompose(pair.h0 if which == "free" else pair.h)
+    if whole:
+        return dec
+    sel = select_spectrum(dec.eigenvalues, lo, hi, closed, scale)
+    return replace(dec, eigenvalues=dec.eigenvalues[sel], eigenvectors=dec.eigenvectors[:, sel])
 
 
 def eigendecompose_pair(pair: OperatorPair):
-    """(H0, H) decompositions: tridiag_eigendecompose if tridiagonal, else dense."""
-    if is_tridiagonal(pair):
-        return tridiag_eigendecompose(pair, "free"), tridiag_eigendecompose(pair, "full")
-    return eigendecompose(pair.h0), eigendecompose(pair.h)
+    """(H0, H) decompositions of the whole spectra, eig(pair, 'free') and eig(pair, 'full')."""
+    return eig(pair, "free"), eig(pair, "full")
 
 
 def spectral_point_tol(scale: float) -> float:
@@ -269,25 +289,6 @@ def projection_difference(b0: np.ndarray, b1: np.ndarray) -> np.ndarray:
     d = b1 @ b1.T
     d -= b0 @ b0.T
     return d
-
-
-def tridiag_window(m: np.ndarray, lo: float, hi: float, closed="neither"):
-    """Eigenpairs of a symmetric tridiagonal m selected by select_spectrum.
-
-    Solves only for the window (widened by the on-point tolerance, so an
-    eigenvalue on an endpoint is found whichever side roundoff puts it) and
-    returns (eigenvalues, eigenvectors) with eigenvalues ascending.
-    """
-    from scipy.linalg import eigh_tridiagonal
-
-    d = np.diag(m).copy()
-    e = np.diag(m, 1).copy()
-    # Gershgorin bound on ||m||
-    scale = float(np.max(np.abs(d)) + 2.0 * np.max(np.abs(e), initial=0.0))
-    pad = 2.0 * spectral_point_tol(scale)
-    w, vecs = eigh_tridiagonal(d, e, select="v", select_range=(lo - pad, hi + pad))
-    sel = select_spectrum(w, lo, hi, closed, scale)
-    return w[sel], vecs[:, sel]
 
 
 def spectral_projection(dec: SpectralDecomposition, lam: float) -> np.ndarray:

@@ -16,7 +16,7 @@ import json
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, svds
 
-from .alpha import transient_filter
+from .alpha import nearest_distances, transient_filter
 from .opcore import (ModelSpec, OperatorPair, apply_function, build_model,
                      eigendecompose_pair, projection_difference, snap_to_points,
                      spectral_block)
@@ -182,7 +182,7 @@ class SegmentUnion:
         return np.array(pts)
 
 
-def predicted_ess_spectrum(phi: PiecewiseFn, alpha_fn, band_margin=BAND_MARGIN) -> SegmentUnion:
+def predicted_ess_spectrum(phi: PiecewiseFn, alpha_fn) -> SegmentUnion:
     """Predicted essential spectrum of phi(H) - phi(H0).
 
     One symmetric segment [-alpha(lam)*kappa, +alpha(lam)*kappa] per jump;
@@ -191,7 +191,7 @@ def predicted_ess_spectrum(phi: PiecewiseFn, alpha_fn, band_margin=BAND_MARGIN) 
     """
     endpoints = []
     for loc in phi.singsupp():
-        if abs(loc) > 2.0 - band_margin:
+        if abs(loc) > 2.0 - BAND_MARGIN:
             raise SymbolError(f"jump at {loc} outside the valid spectral window")
         a = float(alpha_fn(loc))
         endpoints.append(a * phi.kappa(loc))
@@ -209,7 +209,12 @@ def symbol_difference(pair: OperatorPair, phi: PiecewiseFn) -> np.ndarray:
     bit-identical with the projection-difference ladder when the jump
     location misses both spectra.
     """
-    dec0, dec1 = eigendecompose_pair(pair)
+    return _difference(eigendecompose_pair(pair), phi)
+
+
+def _difference(decs, phi):
+    # symbol_difference from the (H0, H) decompositions, which serve every symbol of a rung
+    dec0, dec1 = decs
     if phi.background == "zero" and phi.jumps:
         acc = None
         for loc, lo, hi in phi.jumps:
@@ -222,7 +227,7 @@ def symbol_difference(pair: OperatorPair, phi: PiecewiseFn) -> np.ndarray:
             elif kappa != -1.0:
                 m *= -kappa.real
             acc = m if acc is None else acc + m
-        return acc if acc is not None else np.zeros_like(pair.h0)
+        return acc
     locs = [loc for loc, _, _ in phi.jumps]
     dec0, dec1 = (replace(dec, eigenvalues=snap_to_points(dec.eigenvalues, locs))
                   for dec in (dec0, dec1))
@@ -236,24 +241,26 @@ def empirical_spectrum(spec: ModelSpec, phi: PiecewiseFn, n_list) -> dict:
     eigenvalues beyond 0.1 per rung (the compactness fingerprint for
     continuous phi).
     """
-    if not phi.is_real:
+    return _spectra(spec, (phi,), n_list)[0]
+
+
+def _spectra(spec, phis, n_list):
+    # empirical_spectrum for every symbol of phis, from one decomposition per rung
+    if not all(phi.is_real for phi in phis):
         raise SymbolError("complex symbols excluded from empirical validation "
                           "(difference non-normal; finite-section spectra unreliable)")
     n_list = tuple(int(n) for n in n_list)
     if not n_list or list(n_list) != sorted(n_list):
         raise SymbolError("n_list must be ascending and non-empty")
-    clouds = []
+    clouds = [[] for _ in phis]
     for n in n_list:
-        pair = build_model(replace(spec, n_half=n))
-        delta = symbol_difference(pair, phi)
-        clouds.append(np.linalg.eigvalsh(delta))
-    if len(clouds) >= 2:
-        filtered = transient_filter(clouds[-1], clouds[-2])
-    else:
-        filtered = clouds[-1]
-    big_counts = tuple(int(np.sum(np.abs(c) > 0.1)) for c in clouds)
-    return {"n_list": n_list, "clouds": tuple(clouds), "filtered": filtered,
-            "big_counts": big_counts}
+        decs = eigendecompose_pair(build_model(replace(spec, n_half=n)))
+        for c, phi in zip(clouds, phis):
+            c.append(np.linalg.eigvalsh(_difference(decs, phi)))
+    return tuple({"n_list": n_list, "clouds": tuple(c),
+                  "filtered": transient_filter(c[-1], c[-2]) if len(c) >= 2 else c[-1],
+                  "big_counts": tuple(int(np.sum(np.abs(x) > 0.1)) for x in c)}
+                 for c in clouds)
 
 
 def accumulation_set(cloud, prev_cloud, tol=ACCUMULATION_TOL):
@@ -269,6 +276,9 @@ def hausdorff(a, b):
         return 0.0
     if a.size == 0 or b.size == 0:
         return np.inf
+    if not (a.imag.any() or b.imag.any()):     # sorted search: |x - y| == abs(complex(x - y, 0))
+        a, b = np.sort(a.real), np.sort(b.real)
+        return float(max(nearest_distances(a, b).max(), nearest_distances(b, a).max()))
     d = np.abs(a[:, None] - b[None, :])
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
@@ -298,9 +308,8 @@ def cross_term_compactness(spec: ModelSpec, phi1: PiecewiseFn, phi2: PiecewiseFn
         raise SymbolError("need at least 2 ladder rungs")
     rows = []
     for n in n_list:
-        pair = build_model(replace(spec, n_half=n))
-        d1 = symbol_difference(pair, phi1)
-        d2 = symbol_difference(pair, phi2)
+        decs = eigendecompose_pair(build_model(replace(spec, n_half=n)))
+        d1, d2 = _difference(decs, phi1), _difference(decs, phi2)
         dim = d1.shape[0]
         op = LinearOperator((dim, dim),
                             matvec=lambda x, a=d1, b=d2: a @ (b @ x),
@@ -316,24 +325,20 @@ def cross_term_compactness(spec: ModelSpec, phi1: PiecewiseFn, phi2: PiecewiseFn
 def union_formula_check(spec: ModelSpec, phi: PiecewiseFn, n_list) -> dict:
     """Accumulation set of the summed difference vs the union over step pieces.
 
-    Decomposes phi into its single-jump pieces, ladders each piece and the
-    sum, and returns the Hausdorff distance between the accumulation set of
-    the sum and the union of per-piece accumulation sets with 0 adjoined.
+    Decomposes phi into its single-jump pieces, ladders the sum and every
+    piece from one decomposition per rung, and returns the Hausdorff distance
+    between the accumulation set of the sum and the union of per-piece
+    accumulation sets with 0 adjoined.
     """
     pieces = phi.step_pieces()
     if not pieces:
         raise SymbolError("symbol has no jumps to decompose")
-    total = PiecewiseFn(jumps=phi.jumps)
-    sum_result = empirical_spectrum(spec, total, n_list)
-    sum_acc = accumulation_set(sum_result["clouds"][-1], sum_result["clouds"][-2])
-    union_pts = [0.0]
-    piece_results = []
-    for piece in pieces:
-        res = empirical_spectrum(spec, piece, n_list)
-        acc = accumulation_set(res["clouds"][-1], res["clouds"][-2])
-        piece_results.append(acc)
-        union_pts.extend(acc.tolist())
-    union_pts = np.array(sorted(set(union_pts)))
+    n_list = tuple(int(n) for n in n_list)
+    if len(n_list) < 2:
+        raise SymbolError("need at least 2 ladder rungs")
+    results = _spectra(spec, (PiecewiseFn(jumps=phi.jumps),) + pieces, n_list)
+    sum_acc, *piece_results = (accumulation_set(r["clouds"][-1], r["clouds"][-2]) for r in results)
+    union_pts = np.array(sorted(set([0.0] + [x for acc in piece_results for x in acc.tolist()])))
     sum_pts = np.concatenate([sum_acc, [0.0]]) if sum_acc.size else np.array([0.0])
     return {"distance": hausdorff(sum_pts, union_pts),
             "sum_accumulation": sum_acc,

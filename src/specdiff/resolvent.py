@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .opcore import OperatorPair, is_tridiagonal, tridiag_window
+from .opcore import OperatorPair, eig, is_tridiagonal
 
 BAND_MARGIN = 0.1
 PSD_TOL = 1e-10
@@ -194,7 +194,7 @@ def _richardson(seq, order=2):
 
 
 def boundary_value(pair: OperatorPair, lam, route="auto",
-                   eps0=EPS0_DEFAULT, m=M_DEFAULT, band_margin=BAND_MARGIN) -> BoundaryValue:
+                   eps0=EPS0_DEFAULT, m=M_DEFAULT) -> BoundaryValue:
     """Boundary value record at lambda + i0.
 
     route 'closed_form' evaluates the infinite-lattice kernel exactly
@@ -211,7 +211,7 @@ def boundary_value(pair: OperatorPair, lam, route="auto",
     if route == "closed_form":
         if pair.spec.kind != "lattice1d":
             raise ResolventError("closed_form route requires lattice1d")
-        if abs(lam) > 2.0 - band_margin:
+        if abs(lam) > 2.0 - BAND_MARGIN:
             raise ResolventError(f"lambda={lam} within band_margin of the band edge")
         t0 = t0_of_z(pair, complex(lam), mode="infinite_lattice")
         return _assemble(pair, lam, t0, 0.0, "closed_form")
@@ -223,7 +223,7 @@ def boundary_value(pair: OperatorPair, lam, route="auto",
     return _assemble(pair, lam, t0, err, "extrapolated")
 
 
-def stone_consistency(pair: OperatorPair, a, b, grid, band_margin=BAND_MARGIN) -> float:
+def stone_consistency(pair: OperatorPair, a, b, grid) -> float:
     """Stone's formula check: || (1/pi) int_a^b B0 - (F0(b) - F0(a)) ||.
 
     B0 comes from the closed-form route; F0 differences from the truncated
@@ -232,7 +232,7 @@ def stone_consistency(pair: OperatorPair, a, b, grid, band_margin=BAND_MARGIN) -
     """
     if grid < 8:
         raise ResolventError("grid must be >= 8")
-    if not (-2.0 + band_margin <= a < b <= 2.0 - band_margin):
+    if not (-2.0 + BAND_MARGIN <= a < b <= 2.0 - BAND_MARGIN):
         raise ResolventError("[a, b] must sit inside the band, away from edges")
     if pair.k_dim == 0:
         return 0.0
@@ -240,7 +240,6 @@ def stone_consistency(pair: OperatorPair, a, b, grid, band_margin=BAND_MARGIN) -
     vals = np.array([t0_of_z(pair, complex(x), mode="infinite_lattice").imag for x in lams])
     quad = np.trapezoid(vals, lams, axis=0) / np.pi
 
-    _, vecs = tridiag_window(pair.h0, a, b, closed="left")
-    gv = pair.g @ vecs
+    gv = pair.g @ eig(pair, "free", a, b, closed="left").eigenvectors
     f0_diff = gv @ gv.T
     return float(np.linalg.norm(quad - f0_diff, 2))

@@ -68,9 +68,9 @@ def _propagate(potential, lam, kappa, incoming_right):
     return 1.0 / big_a, big_b / big_a
 
 
-def smatrix_transfer(potential, lam, band_margin=BAND_MARGIN) -> LatticeScattering:
+def smatrix_transfer(potential, lam) -> LatticeScattering:
     """Transfer-matrix S(lambda) for a compactly supported lattice potential."""
-    if abs(lam) > 2.0 - band_margin:
+    if abs(lam) > 2.0 - BAND_MARGIN:
         raise ScatteringError(f"lambda={lam} too close to the band edge")
     kappa = float(np.arccos(lam / 2.0))
     potential = [(int(s), float(v)) for s, v in potential if float(v) != 0.0]

@@ -6,7 +6,7 @@ import pytest
 from specdiff.hankelmodel import (HankelError, build_l_operators, gamma_kernel,
                                   gamma_matrix, gamma_tensor_spectrum,
                                   graded_grid, hankel_bound_check, opnorm2)
-from specdiff.opcore import ModelSpec, build_model, tridiag_eigendecompose
+from specdiff.opcore import ModelSpec, build_model, eig
 from specdiff.resolvent import boundary_value
 
 
@@ -131,7 +131,7 @@ def test_kernel_time_decay_after_density_subtraction():
     for n_half in (1000, 4000):
         pair = _pair(n_half)
         f0p = boundary_value(pair, 0.0).f0p[0, 0]
-        dec = tridiag_eigendecompose(pair, "free")
+        dec = eig(pair, "free")
         sel = (dec.eigenvalues > 0) & (dec.eigenvalues < 1)
         c0 = (pair.g @ dec.eigenvectors[:, sel]).ravel()
         mu = dec.eigenvalues[sel]

@@ -14,8 +14,8 @@ import scipy.linalg
 from specdiff import alpha, pcfunc
 from specdiff.alpha import d_spectrum_ladder
 from specdiff.hankelmodel import build_l_operators
-from specdiff.opcore import (ModelSpec, build_model, spectral_point_tol,
-                             spectral_projection, tridiag_eigendecompose)
+from specdiff.opcore import (ModelSpec, build_model, eig, spectral_point_tol,
+                             spectral_projection)
 from specdiff.pcfunc import PiecewiseFn, symbol_difference
 
 ULP = np.spacing(2.0)            # ||H0|| < 2 for every truncation
@@ -59,7 +59,7 @@ def _outputs(offset):
 def _selections_at_zero():
     out = {}
     pair = build_model(ModelSpec("lattice1d", 2))
-    dec = tridiag_eigendecompose(pair, "free")
+    dec = eig(pair, "free")
     out["projection"] = spectral_projection(dec, 0.0)
 
     est = d_spectrum_ladder(SPEC, 0.0, (50, 101, 200))

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from specdiff.opcore import (ModelError, ModelSpec, apply_function, build_model,
+from specdiff import opcore
+from specdiff.opcore import (ModelError, ModelSpec, apply_function, build_model, eig,
                              eigendecompose, matrix_from_csv, matrix_to_csv,
-                             spectral_projection, tridiag_eigendecompose)
+                             spectral_projection)
 
 
 def test_free_model_is_bare_hopping():
@@ -89,7 +90,7 @@ def test_free_lattice_eigenvalues_closed_form():
     dec = eigendecompose(pair.h0)
     expected = 2.0 * np.cos(np.arange(5, 0, -1) * np.pi / 6.0)
     assert np.allclose(dec.eigenvalues, expected, atol=1e-12)
-    tri = tridiag_eigendecompose(pair, "free")
+    tri = eig(pair, "free")
     assert np.allclose(tri.eigenvalues, expected, atol=1e-12)
 
 
@@ -110,11 +111,36 @@ def test_spectral_projection_extremes_and_rank():
     assert np.allclose(spectral_projection(dec, 10.0), np.eye(5), atol=1e-12)
     # the middle Dirichlet eigenvalue is exactly 0; whatever sign roundoff
     # gives it, it is not strictly below 0, so the exact-arithmetic rank is 2
-    dec = tridiag_eigendecompose(pair, "free")
+    dec = eig(pair, "free")
     p = spectral_projection(dec, 0.0)
     assert np.trace(p) == pytest.approx(2.0, abs=1e-10)
     assert np.linalg.norm(p @ p - p, 2) <= 1e-9
     assert np.linalg.norm(p - p.T, 2) <= 1e-10
+
+
+@pytest.mark.parametrize("closed", ["neither", "left", "right"])
+def test_eig_window_on_an_exact_eigenvalue_same_on_both_routes(monkeypatch, closed):
+    # 0 = 2 cos(12 pi / 24) and +-1 = 2 cos(8 pi / 24), 2 cos(16 pi / 24) are
+    # exact eigenvalues of the 23-site H0 (and 0 of H, for odd N); windows
+    # ending on them select them by closed alone
+    pair = build_model(ModelSpec("lattice1d", 11, ((0, 1.0),)))
+    windows = ((0.0, 1.0), (-1.0, 0.0))
+    calls = [(which, lo, hi) for which in ("free", "full") for lo, hi in windows]
+    tri = [eig(pair, which, lo, hi, closed) for which, lo, hi in calls]
+    monkeypatch.setattr(opcore, "is_tridiagonal", lambda pair: False)
+    dense = [eig(pair, which, lo, hi, closed) for which, lo, hi in calls]
+    for (which, lo, hi), a, b in zip(calls, tri, dense):
+        assert a.eigenvalues.size == b.eigenvalues.size, (which, lo, closed)
+        assert np.allclose(a.eigenvalues, b.eigenvalues, atol=1e-12)
+        pa, pb = (d.eigenvectors @ d.eigenvectors.T for d in (a, b))
+        assert np.allclose(pa, pb, atol=1e-10)
+    # exact selections for H0: three eigenvalues inside each window (k = 9..11
+    # and 13..15), plus the endpoint eigenvalue that closed admits
+    admitted = {"neither": (None, None), "left": (0.0, -1.0), "right": (1.0, 0.0)}[closed]
+    for dec, end in zip(tri[:2], admitted):
+        assert dec.eigenvalues.size == 3 + (end is not None)
+        if end is not None:
+            assert np.min(np.abs(dec.eigenvalues - end)) <= 1e-14
 
 
 def test_apply_function_constant_and_indicator():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from specdiff.alpha import alpha_derivative, d_spectrum_ladder
 from specdiff.opcore import ModelSpec, build_model
@@ -125,6 +126,23 @@ def test_hausdorff_basics():
     assert hausdorff([0.0, 1.0], [0.0, 2.0]) == 1.0
 
 
+def test_hausdorff_real_sets_match_the_distance_matrix():
+    # ties within and across the sets, and non-dyadic values, so that the
+    # sorted search must reproduce the brute-force bits
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        a = rng.choice(rng.standard_normal(6), size=rng.integers(1, 12))
+        b = np.concatenate([rng.choice(a, size=rng.integers(0, 4)),
+                            rng.standard_normal(rng.integers(0, 8))])
+        if b.size == 0:
+            continue
+        d = np.abs(a.astype(complex)[:, None] - b.astype(complex)[None, :])
+        expected = float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+        assert hausdorff(a, b) == expected
+        assert hausdorff(b, a) == expected
+    assert hausdorff([1j, 2.0], [0.0]) == 2.0          # complex sets keep the matrix
+
+
 def test_accumulation_set_filters_strays():
     prev = np.array([0.0, 0.1, 0.2])
     cur = np.array([0.005, 0.105, 0.7])
@@ -167,6 +185,54 @@ def test_union_formula_two_pieces_stated_scale():
     rep = union_formula_check(ModelSpec("lattice1d", 50, ((0, 1.0),)), phi,
                               (2000, 4000))
     assert rep["distance"] <= 0.05
+
+
+def test_union_formula_needs_two_rungs():
+    phi = PiecewiseFn(jumps=((0.0, 0.0, 1.0),))
+    with pytest.raises(SymbolError, match="at least 2 ladder rungs"):
+        union_formula_check(SPEC, phi, (20,))
+
+
+def test_union_formula_matches_per_symbol_ladders_bitwise():
+    # the composition union_formula_check had when it laddered every symbol
+    # on its own: one empirical_spectrum and accumulation_set per symbol
+    spec = ModelSpec("lattice1d", 20, ((0, 1.0), (1, -0.4)))
+    n_list = (40, 81)
+    for phi in (PiecewiseFn(jumps=((-0.5, 0.0, 1.0), (0.0, 0.0, 0.5), (0.7, 0.0, -0.8))),
+                PiecewiseFn(jumps=((0.3, 0.0, 1.0),))):
+        rep = union_formula_check(spec, phi, n_list)
+        accs = []
+        for sym in (PiecewiseFn(jumps=phi.jumps),) + phi.step_pieces():
+            res = empirical_spectrum(spec, sym, n_list)
+            accs.append(accumulation_set(res["clouds"][-1], res["clouds"][-2]))
+        assert np.array_equal(rep["sum_accumulation"], accs[0])
+        assert len(rep["piece_accumulations"]) == len(accs) - 1
+        for got, want in zip(rep["piece_accumulations"], accs[1:]):
+            assert np.array_equal(got, want)
+
+
+def test_each_rung_is_decomposed_once_for_every_symbol(monkeypatch):
+    real = scipy.linalg.eigh_tridiagonal
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counting)
+    spec = ModelSpec("lattice1d", 10, ((0, 1.0),))
+    n_list = (20, 40)
+    one = PiecewiseFn(jumps=((0.3, 0.0, 1.0),))
+    three = PiecewiseFn(jumps=((-0.5, 0.0, 1.0), (0.0, 0.0, 0.5), (0.5, 1.0, 0.0)))
+    runs = (lambda: union_formula_check(spec, one, n_list),
+            lambda: union_formula_check(spec, three, n_list),
+            lambda: cross_term_compactness(spec, one, PiecewiseFn(jumps=((-0.5, 0.0, 1.0),)),
+                                           n_list, sv_index=2),
+            lambda: empirical_spectrum(spec, three, n_list))
+    for run in runs:
+        calls.clear()
+        run()
+        assert len(calls) == 2 * len(n_list)       # one solve of H0 and one of H
 
 
 def test_union_single_piece_distance_zero():
