@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .opcore import (ModelSpec, OperatorPair, build_model, eig, eigendecompose_pair,
-                     projection_difference, spectral_block)
+                     projection_difference, select_spectrum, spectral_block)
 from .resolvent import BAND_MARGIN, BoundaryValue
 
 ALPHA_CAP_TOL = 1e-6
@@ -119,8 +119,10 @@ def alpha_proj_limit(pair: OperatorPair, lam, eps_schedule) -> AlphaEstimate:
     """Window-projection route on a finite truncation.
 
     For each eps computes (pi/2eps) ||(G E0(win))^T J G E(win)|| over the
-    open window win = (lam - eps, lam + eps) (opcore.eig) and extrapolates
-    linearly in eps from the two smallest scheduled values.
+    open window win = (lam - eps, lam + eps) and extrapolates linearly in eps
+    from the two smallest scheduled values.  H0 and H are each solved once,
+    whole (opcore.eig), and every window is cut from that solve by
+    opcore.select_spectrum.
     """
     eps_schedule = sorted(set(float(e) for e in eps_schedule), reverse=True)
     if not eps_schedule:
@@ -132,15 +134,15 @@ def alpha_proj_limit(pair: OperatorPair, lam, eps_schedule) -> AlphaEstimate:
                              "for the truncation")
     if pair.spec.kind == "lattice1d" and abs(lam) > 2.0 - BAND_MARGIN:
         raise AlphaError(f"lambda={lam} within band_margin of the band edge")
-    diag = []
-    for e in eps_schedule:
-        if pair.k_dim == 0:
-            diag.append((e, 0.0))
-            continue
-        b0, b1 = (pair.g @ eig(pair, which, lam - e, lam + e).eigenvectors
-                  for which in ("free", "full"))
-        val = (np.pi / (2.0 * e)) * float(np.linalg.norm(b0.T @ pair.j @ b1, 2))
-        diag.append((e, val))
+    if pair.k_dim == 0:
+        diag = [(e, 0.0) for e in eps_schedule]
+    else:
+        (w0, gv0), (w1, gv1) = (_site_weights(pair, which) for which in ("free", "full"))
+        diag = []
+        for e in eps_schedule:
+            b0 = gv0[:, select_spectrum(w0, lam - e, lam + e)]
+            b1 = gv1[:, select_spectrum(w1, lam - e, lam + e)]
+            diag.append((e, (np.pi / (2.0 * e)) * float(np.linalg.norm(b0.T @ pair.j @ b1, 2))))
     if len(diag) >= 2:
         (e1, v1), (e2, v2) = diag[-2], diag[-1]
         value = v2 + (v1 - v2) * (0.0 - e2) / (e1 - e2)
@@ -148,6 +150,12 @@ def alpha_proj_limit(pair: OperatorPair, lam, eps_schedule) -> AlphaEstimate:
         value = diag[-1][1]
     return AlphaEstimate(lam=float(lam), value=float(max(value, 0.0)),
                          route="proj_limit", diagnostics=tuple(diag))
+
+
+def _site_weights(pair, which):
+    # eigenvalues and G times the eigenvectors, which are dropped on return
+    dec = eig(pair, which)
+    return dec.eigenvalues, pair.g @ dec.eigenvectors
 
 
 def _b4_residual_norm(v0n, v1n, iters=60, seed=1234):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import svds
 
-from .opcore import OperatorPair, eigendecompose_pair, select_spectrum
+from .opcore import OperatorPair, eig
 
 GRID_SPAN = 1e12
 SYM_TOL = 1e-12
@@ -121,22 +121,17 @@ def build_l_operators(pair: OperatorPair, lam, n, t_max, span=GRID_SPAN) -> dict
 
     Spectra are translated so the reference point lambda sits at 0; the unit
     windows (0,1) for H0 and (-1,0) for H make every semigroup factor decay.
-    Both windows are open in exact arithmetic (opcore.select_spectrum), so an
-    eigenvalue on lambda belongs to neither.
+    Both windows are open in exact arithmetic (opcore.eig), so an eigenvalue
+    on lambda belongs to neither.
     """
     nodes, weights = graded_grid(n, t_max, span)
     root = np.sqrt(weights)
-    dec0, dec1 = eigendecompose_pair(pair)
-    sel0 = select_spectrum(dec0.eigenvalues, lam, lam + 1.0)
-    sel1 = select_spectrum(dec1.eigenvalues, lam - 1.0, lam)
-    w0 = dec0.eigenvalues - lam
-    w1 = dec1.eigenvalues - lam
-    v0 = dec0.eigenvectors[:, sel0]
-    v1 = dec1.eigenvectors[:, sel1]
-    mu0 = w0[sel0]
-    mu1 = w1[sel1]
+    dec0 = eig(pair, "free", lam, lam + 1.0)
+    dec1 = eig(pair, "full", lam - 1.0, lam)
+    v0, v1 = dec0.eigenvectors, dec1.eigenvectors
+    mu0, mu1 = dec0.eigenvalues - lam, dec1.eigenvalues - lam
     k = pair.k_dim
-    nh = pair.h0.shape[0]
+    nh = pair.spec.dim
     c0 = v0.T @ pair.g.T          # m0 x k
     c1 = v1.T @ pair.g.T          # m1 x k
     l0 = np.empty((nh, n * k))

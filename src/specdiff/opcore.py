@@ -1,8 +1,9 @@
 """Model operator pairs, factorizations, and finite-dimensional functional calculus.
 
-Builds the finite truncations of the perturbed/unperturbed pair (H0, H) with
-the factorization V = G^T J G, and provides dense spectral decompositions,
-spectral projections E(-inf, lambda) and functions of operators phi(H).
+Builds the finite truncations of the perturbed/unperturbed pair (H0, H), H0
+stored as its bands, with the factorization V = G^T J G, and provides the one
+eigensolver of a pair (eig), spectral projections E(-inf, lambda) and
+functions of operators phi(H).
 """
 
 from __future__ import annotations
@@ -93,10 +94,13 @@ class ModelSpec:
     @classmethod
     def from_json(cls, text):
         doc = json.loads(text)
+        for key in ("kind", "n_half"):
+            if key not in doc:
+                raise ModelError(f"model config lacks {key!r}")
         return cls(
             kind=doc["kind"],
             n_half=int(doc["n_half"]),
-            potential=tuple((int(s), float(v)) for s, v in doc["potential"]),
+            potential=tuple((int(s), float(v)) for s, v in doc.get("potential", ())),
             decay_rate=doc.get("decay_rate"),
             seed=int(doc.get("seed", 0)),
         )
@@ -104,7 +108,14 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class OperatorPair:
-    """Finite symmetric pair H0, H = H0 + V with V = G^T J G."""
+    """Finite symmetric pair H0, H = H0 + V with V = G^T J G.
+
+    h0 -- the bands of the tridiagonal H0, shape (2, n): the diagonal h0[0]
+          and the off-diagonal h0[1, :-1] (h0[1, -1] pads the row).
+    v  -- the diagonal of V, shape (n,), for lattice1d and jacobi; the dense
+          V for random_traceclass.
+    dense(which) forms H0 ('free') or H ('full'), for eig's dense route and tests.
+    """
 
     h0: np.ndarray
     v: np.ndarray
@@ -113,15 +124,21 @@ class OperatorPair:
     spec: ModelSpec
 
     @property
-    def h(self):
-        return self.h0 + self.v
-
-    @property
     def k_dim(self):
         return self.g.shape[0]
 
+    def dense(self, which):
+        if which not in ("free", "full"):
+            raise ModelError(f"unknown operator {which!r}")
+        e = self.h0[1, :-1]
+        m = np.diag(self.h0[0]) + np.diag(e, 1) + np.diag(e, -1)
+        return m + self._dense_v() if which == "full" else m
+
+    def _dense_v(self):
+        return np.diag(self.v) if self.v.ndim == 1 else self.v
+
     def check_factorization(self):
-        return float(np.linalg.norm(self.g.T @ self.j @ self.g - self.v, 2))
+        return float(np.linalg.norm(self.g.T @ self.j @ self.g - self._dense_v(), 2))
 
 
 @dataclass(frozen=True)
@@ -131,14 +148,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     residual_bound: float
-
-
-def _hopping_matrix(n):
-    m = np.zeros((n, n))
-    idx = np.arange(n - 1)
-    m[idx, idx + 1] = 1.0
-    m[idx + 1, idx] = 1.0
-    return m
 
 
 def _diag_factorization(v_diag):
@@ -161,13 +170,13 @@ def build_model(spec: ModelSpec) -> OperatorPair:
     and Q a seeded Haar orthogonal matrix; G = |V|^{1/2}, J = sign(V).
     """
     n = spec.dim
-    h0 = _hopping_matrix(n)
+    h0 = np.zeros((2, n))
+    h0[1, :-1] = 1.0                    # the hopping chain, for every kind
     if spec.kind in ("lattice1d", "jacobi"):
-        v_diag = np.zeros(n)
+        v = np.zeros(n)
         for site, value in spec.potential:
-            v_diag[spec.site_index(site)] = value
-        v = np.diag(v_diag)
-        g, j = _diag_factorization(v_diag)
+            v[spec.site_index(site)] = value
+        g, j = _diag_factorization(v)
         return OperatorPair(h0=h0, v=v, g=g, j=j, spec=spec)
 
     # random_traceclass: deterministic eigenvalue sequence, seeded conjugation
@@ -204,33 +213,27 @@ def eig(pair: OperatorPair, which: str, lo=-np.inf, hi=np.inf,
         closed="neither") -> SpectralDecomposition:
     """Eigenpairs of H0 (which='free') or H ('full') between lo and hi (select_spectrum).
 
-    The one eigensolver of a model pair.  Tridiagonal models are solved by
-    eigh_tridiagonal on the diagonals of H0 and V, so no dense H is formed; a
-    window is solved as a window, widened by the on-point tolerance (with the
-    Gershgorin bound on ||M|| as scale) so that an eigenvalue on an endpoint
-    is found whichever side roundoff puts it.  Dense models go through
-    eigendecompose.  The whole spectrum (the default) is returned unselected.
+    The one eigensolver of a model pair.  Every solve is whole: tridiagonal
+    models by eigh_tridiagonal on the bands of H0 plus the diagonal of V, so
+    no dense matrix is formed, dense models by eigendecompose of
+    pair.dense(which).  A window is then cut by select_spectrum at the whole
+    spectrum's scale; the whole spectrum (the default) is returned unselected.
     """
     from scipy import linalg            # looked up at call time, so it can be swapped
 
-    whole = lo == -np.inf and hi == np.inf
-    scale = None
+    if which not in ("free", "full"):
+        raise ModelError(f"unknown operator {which!r}")
     if is_tridiagonal(pair):
-        d, e = np.diag(pair.h0), np.diag(pair.h0, 1)
+        d, e = pair.h0[0], pair.h0[1, :-1]
         if which == "full":
-            d, e = d + np.diag(pair.v), e + np.diag(pair.v, 1)
-        window = {}
-        if not whole:
-            scale = float(np.max(np.abs(d)) + 2.0 * np.max(np.abs(e), initial=0.0))
-            pad = 2.0 * spectral_point_tol(scale)
-            window = {"select": "v", "select_range": (lo - pad, hi + pad)}
-        w, vecs = linalg.eigh_tridiagonal(d, e, **window)
+            d = d + pair.v
+        w, vecs = linalg.eigh_tridiagonal(d, e)
         dec = SpectralDecomposition(eigenvalues=w, eigenvectors=vecs, residual_bound=0.0)
     else:
-        dec = eigendecompose(pair.h0 if which == "free" else pair.h)
-    if whole:
+        dec = eigendecompose(pair.dense(which))
+    if lo == -np.inf and hi == np.inf:
         return dec
-    sel = select_spectrum(dec.eigenvalues, lo, hi, closed, scale)
+    sel = select_spectrum(dec.eigenvalues, lo, hi, closed)
     return replace(dec, eigenvalues=dec.eigenvalues[sel], eigenvectors=dec.eigenvectors[:, sel])
 
 
@@ -240,40 +243,37 @@ def eigendecompose_pair(pair: OperatorPair):
 
 
 def spectral_point_tol(scale: float) -> float:
-    """SPECTRAL_POINT_ULPS * eps * scale, for scale = ||M|| or a bound on it."""
+    """SPECTRAL_POINT_ULPS * eps * scale, for scale = ||M||."""
     return SPECTRAL_POINT_ULPS * float(np.finfo(float).eps) * float(scale)
 
 
-def snap_to_points(w, points, scale=None) -> np.ndarray:
+def snap_to_points(w, points) -> np.ndarray:
     """Copy of the eigenvalues w with those on a spectral point set equal to it.
 
-    "On" means within spectral_point_tol(scale) of the point; scale defaults
-    to max |w|, which is ||M|| when w is the whole spectrum of M.  Pass ||M||
-    (or a bound) when w is only part of it.  Infinite points are ignored.
+    w is the whole spectrum of M, and "on" means within spectral_point_tol(max
+    |w|) = spectral_point_tol(||M||) of the point.  Infinite points are ignored.
     """
     w = np.array(w, dtype=float)
-    if scale is None:
-        scale = float(np.max(np.abs(w))) if w.size else 0.0
-    tol = spectral_point_tol(scale)
+    tol = spectral_point_tol(float(np.max(np.abs(w))) if w.size else 0.0)
     for p in points:
         if np.isfinite(p):
             w[np.abs(w - p) <= tol] = p
     return w
 
 
-def select_spectrum(w, lo=-np.inf, hi=np.inf, closed="neither", scale=None) -> np.ndarray:
-    """Boolean mask of the eigenvalues w lying between lo and hi.
+def select_spectrum(w, lo=-np.inf, hi=np.inf, closed="neither") -> np.ndarray:
+    """Boolean mask of the eigenvalues w (a whole spectrum) lying between lo and hi.
 
     This is the one rule by which eigenvalues are compared with spectral
-    points: an eigenvalue on lo or hi (see snap_to_points, with the same
-    scale) is treated as equal to it, and closed ('neither', 'left' or
-    'right') says which endpoint, if any, belongs to the set.  The result is
-    the exact-arithmetic selection whatever sign roundoff gave an eigenvalue
-    that sits on an endpoint.
+    points: an eigenvalue on lo or hi (see snap_to_points) is treated as
+    equal to it, and closed ('neither', 'left' or 'right') says which
+    endpoint, if any, belongs to the set.  The result is the exact-arithmetic
+    selection whatever sign roundoff gave an eigenvalue that sits on an
+    endpoint.
     """
     if closed not in ("neither", "left", "right"):
         raise ValueError(f"unknown closed={closed!r}")
-    w = snap_to_points(w, (lo, hi), scale)
+    w = snap_to_points(w, (lo, hi))
     left = w >= lo if closed == "left" else w > lo
     right = w <= hi if closed == "right" else w < hi
     return left & right

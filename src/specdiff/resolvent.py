@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .opcore import OperatorPair, eig, is_tridiagonal
+from .opcore import OperatorPair, eig
 
 BAND_MARGIN = 0.1
 PSD_TOL = 1e-10
@@ -124,17 +124,11 @@ def t0_of_z(pair: OperatorPair, z, mode="truncated") -> np.ndarray:
         raise ResolventError("truncated mode requires Im z != 0")
     if k == 0:
         return np.zeros((0, 0), dtype=complex)
-    rhs = pair.g.T.astype(complex)
-    if is_tridiagonal(pair):
-        n = pair.h0.shape[0]
-        ab = np.zeros((3, n), dtype=complex)
-        ab[0, 1:] = np.diag(pair.h0, 1)
-        ab[1, :] = np.diag(pair.h0) - z
-        ab[2, :-1] = np.diag(pair.h0, -1)
-        x = solve_banded((1, 1), ab, rhs)
-    else:
-        x = np.linalg.solve(pair.h0 - z * np.eye(pair.h0.shape[0]), rhs)
-    return pair.g @ x
+    # H0 is tridiagonal for every kind: one banded solve
+    ab = np.zeros((3, pair.spec.dim), dtype=complex)
+    ab[0, 1:] = ab[2, :-1] = pair.h0[1, :-1]
+    ab[1] = pair.h0[0] - z
+    return pair.g @ solve_banded((1, 1), ab, pair.g.T.astype(complex))
 
 
 def t_of_z(pair: OperatorPair, t0z: np.ndarray) -> np.ndarray:
@@ -227,8 +221,8 @@ def stone_consistency(pair: OperatorPair, a, b, grid) -> float:
     """Stone's formula check: || (1/pi) int_a^b B0 - (F0(b) - F0(a)) ||.
 
     B0 comes from the closed-form route; F0 differences from the truncated
-    spectral projection E0[a, b) of the pair at its own truncation, with
-    endpoints decided in exact arithmetic (opcore.select_spectrum).
+    spectral projection E0[a, b) of the pair at its own truncation (opcore.eig),
+    with endpoints decided in exact arithmetic (opcore.select_spectrum).
     """
     if grid < 8:
         raise ResolventError("grid must be >= 8")

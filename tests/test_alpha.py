@@ -8,7 +8,8 @@ from specdiff.alpha import (AlphaError, AlphaEstimate, _b4_residual_norm, alpha_
                             alpha_proj_limit, alpha_smatrix, d_spectrum_ladder,
                             d_spectrum_ladders, fredholm_check, stilde_matrix,
                             transient_filter)
-from specdiff.opcore import ModelSpec, build_model, eigendecompose_pair, spectral_block
+from specdiff.opcore import (ModelSpec, build_model, eig, eigendecompose_pair,
+                             select_spectrum, spectral_block)
 from specdiff.resolvent import boundary_value
 
 
@@ -94,6 +95,30 @@ def test_proj_limit_monotone_refinement():
     vals = [v for _, v in est.diagnostics]
     diffs = [abs(vals[i + 1] - vals[i]) for i in range(len(vals) - 1)]
     assert all(diffs[i + 1] <= diffs[i] for i in range(len(diffs) - 1))
+
+
+def test_proj_limit_solves_each_operator_once(monkeypatch):
+    pair = build_model(ModelSpec("lattice1d", 500, ((0, 0.5), (1, -0.3))))
+    lam, schedule = 0.2, (0.8, 0.4, 0.2, 0.1)
+    # the per-eps reference: each window cut from a whole solve, then weighted by G
+    decs = [eig(pair, which) for which in ("free", "full")]
+    ref = []
+    for e in schedule:
+        b0, b1 = (pair.g @ d.eigenvectors[:, select_spectrum(d.eigenvalues, lam - e, lam + e)]
+                  for d in decs)
+        ref.append((np.pi / (2.0 * e)) * np.linalg.norm(b0.T @ pair.j @ b1, 2))
+    real = scipy.linalg.eigh_tridiagonal
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counting)
+    est = alpha_proj_limit(pair, lam, schedule)
+    assert len(calls) == 2                          # one solve of H0 and one of H
+    assert [e for e, _ in est.diagnostics] == list(schedule)
+    assert np.allclose([v for _, v in est.diagnostics], ref, rtol=0, atol=1e-12)
 
 
 def test_ladder_trivial_and_guards():

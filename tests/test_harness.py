@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import specdiff
-from specdiff import harness
+from specdiff import harness, opcore
 from specdiff.cli import main
 from specdiff.harness import ConfigError, ExperimentConfig, run, validate
 
@@ -144,6 +144,23 @@ def test_cli_exit_codes(tmp_path):
     bad.write_text("{")
     res = runner.invoke(main, ["alpha", "--config", str(bad)])
     assert res.exit_code == 1
+
+
+def test_model_config_keys(tmp_path):
+    # "potential" defaults to none, as decay_rate and seed do
+    spec = opcore.ModelSpec.from_json(json.dumps({"kind": "lattice1d", "n_half": 5}))
+    assert spec == opcore.ModelSpec("lattice1d", 5)
+    for key in ("kind", "n_half"):
+        doc = {k: v for k, v in MODEL.items() if k != key}
+        with pytest.raises(opcore.ModelError, match=key):
+            opcore.ModelSpec.from_json(json.dumps(doc))
+        res = CliRunner().invoke(main, ["validate", "--config",
+                                        _write(tmp_path, _config(tmp_path, model=doc))])
+        assert res.exit_code == 1 and f"config error: model config lacks '{key}'" in res.output
+    model = {"kind": "lattice1d", "n_half": 5}
+    res = CliRunner().invoke(main, ["validate", "--config",
+                                    _write(tmp_path, _config(tmp_path, model=model))])
+    assert res.exit_code == 0 and "config ok" in res.output
 
 
 def test_cli_out_override_and_overwrite(tmp_path):

@@ -112,7 +112,7 @@ def test_selection_at_zero_gives_the_exact_arithmetic_answer(by_offset):
     # the step symbol takes its left limit on the 0 mode: the trace of
     # kappa (E0(-inf, 0] - E(-inf, 0]) counts eigenvalues <= 0 exactly
     for n in (40, 41):
-        w1 = np.linalg.eigvalsh(build_model(ModelSpec("lattice1d", n, ((0, 1.0),))).h)
+        w1 = np.linalg.eigvalsh(build_model(ModelSpec("lattice1d", n, ((0, 1.0),))).dense("full"))
         at_most_zero = int(np.sum(w1 < -1e-9) + np.sum(np.abs(w1) <= 1e-9))
         assert np.trace(out[f"step_{n}"]) == pytest.approx(0.5 * (n + 1 - at_most_zero),
                                                            abs=1e-10)

@@ -4,25 +4,29 @@ import numpy as np
 import pytest
 
 from specdiff import opcore
-from specdiff.opcore import (ModelError, ModelSpec, apply_function, build_model, eig,
-                             eigendecompose, matrix_from_csv, matrix_to_csv,
+from specdiff.alpha import d_spectrum_ladders
+from specdiff.hankelmodel import build_l_operators
+from specdiff.opcore import (ModelError, ModelSpec, OperatorPair, apply_function, build_model,
+                             eig, eigendecompose, matrix_from_csv, matrix_to_csv,
                              spectral_projection)
+from specdiff.pcfunc import PiecewiseFn, symbol_difference
+from specdiff.resolvent import t0_of_z
 
 
 def test_free_model_is_bare_hopping():
     pair = build_model(ModelSpec("lattice1d", 2))
-    assert pair.h0.shape == (5, 5)
+    assert pair.dense("free").shape == (5, 5)
     expected = np.zeros((5, 5))
     idx = np.arange(4)
     expected[idx, idx + 1] = expected[idx + 1, idx] = 1.0
-    assert np.array_equal(pair.h0, expected)
-    assert np.array_equal(pair.v, np.zeros((5, 5)))
+    assert np.array_equal(pair.dense("free"), expected)
+    assert np.array_equal(pair.v, np.zeros(5))
     assert pair.k_dim == 0
 
 
 def test_rank_one_factorization():
     pair = build_model(ModelSpec("lattice1d", 2, ((0, 0.5),)))
-    assert np.array_equal(np.diag(pair.v), [0, 0, 0.5, 0, 0])
+    assert np.array_equal(pair.v, [0, 0, 0.5, 0, 0])
     assert pair.g.shape == (1, 5)
     assert pair.g[0, 2] == pytest.approx(np.sqrt(0.5), abs=0)
     assert np.array_equal(pair.j, [[1.0]])
@@ -45,6 +49,34 @@ def test_determinism_bit_identical():
     assert np.array_equal(a.v, b.v)
     assert np.array_equal(a.g, b.g)
     assert np.array_equal(a.j, b.j)
+
+
+def test_tridiagonal_pair_stores_no_square_array(monkeypatch):
+    pair = build_model(ModelSpec("lattice1d", 4000, ((0, 0.5),)))
+    assert sum(getattr(pair, f).nbytes for f in ("h0", "v", "g", "j")) < 2 ** 20
+    # nor does any route of a tridiagonal pair form one
+
+    def refuse(self, which):
+        raise AssertionError(f"dense {which} formed for a tridiagonal pair")
+
+    monkeypatch.setattr(OperatorPair, "dense", refuse)
+    spec = ModelSpec("lattice1d", 30, ((0, 1.0), (2, -0.5)))
+    pair = build_model(spec)
+    assert eig(pair, "full").eigenvalues.size == 61
+    assert eig(pair, "free", -0.5, 0.5, "left").eigenvalues.size > 0
+    assert t0_of_z(pair, 0.3 + 0.5j, "truncated").shape == (2, 2)
+    assert build_l_operators(pair, 0.2, 16, 20.0)["L0"].shape == (61, 32)
+    assert len(d_spectrum_ladders(spec, (-0.5, 0.3), (20, 30, 40))) == 2
+    assert symbol_difference(pair, PiecewiseFn(jumps=((0.3, 0.0, 1.0),))).shape == (61, 61)
+
+
+def test_unknown_operator_rejected_on_both_routes():
+    for spec in (ModelSpec("lattice1d", 3, ((0, 1.0),)),
+                 ModelSpec("random_traceclass", 3, decay_rate=1.0)):
+        pair = build_model(spec)
+        for call in (lambda: eig(pair, "H"), lambda: pair.dense("H")):
+            with pytest.raises(ModelError, match="unknown operator"):
+                call()
 
 
 def test_j_squares_to_identity():
@@ -87,7 +119,7 @@ def test_eigendecompose_rejects_asymmetric():
 
 def test_free_lattice_eigenvalues_closed_form():
     pair = build_model(ModelSpec("lattice1d", 2))
-    dec = eigendecompose(pair.h0)
+    dec = eigendecompose(pair.dense("free"))
     expected = 2.0 * np.cos(np.arange(5, 0, -1) * np.pi / 6.0)
     assert np.allclose(dec.eigenvalues, expected, atol=1e-12)
     tri = eig(pair, "free")
@@ -96,17 +128,17 @@ def test_free_lattice_eigenvalues_closed_form():
 
 def test_orthonormality_and_residual():
     pair = build_model(ModelSpec("lattice1d", 10, ((0, 1.0),)))
-    dec = eigendecompose(pair.h)
+    dec = eigendecompose(pair.dense("full"))
     gram = dec.eigenvectors.T @ dec.eigenvectors
     assert np.linalg.norm(gram - np.eye(21), 2) <= 1e-10
     assert dec.residual_bound <= 1e-12
-    resid = pair.h @ dec.eigenvectors - dec.eigenvectors * dec.eigenvalues
+    resid = pair.dense("full") @ dec.eigenvectors - dec.eigenvectors * dec.eigenvalues
     assert dec.residual_bound >= np.linalg.norm(resid, 2)
 
 
 def test_spectral_projection_extremes_and_rank():
     pair = build_model(ModelSpec("lattice1d", 2))
-    dec = eigendecompose(pair.h0)
+    dec = eigendecompose(pair.dense("free"))
     assert np.array_equal(spectral_projection(dec, -10.0), np.zeros((5, 5)))
     assert np.allclose(spectral_projection(dec, 10.0), np.eye(5), atol=1e-12)
     # the middle Dirichlet eigenvalue is exactly 0; whatever sign roundoff
@@ -145,7 +177,7 @@ def test_eig_window_on_an_exact_eigenvalue_same_on_both_routes(monkeypatch, clos
 
 def test_apply_function_constant_and_indicator():
     pair = build_model(ModelSpec("lattice1d", 5, ((1, 0.7),)))
-    dec = eigendecompose(pair.h)
+    dec = eigendecompose(pair.dense("full"))
     assert np.allclose(apply_function(dec, lambda x: np.ones_like(x)),
                        np.eye(11), atol=1e-12)
     lam = 0.3
@@ -155,7 +187,7 @@ def test_apply_function_constant_and_indicator():
 
 def test_apply_function_scalar_loop_oracle():
     pair = build_model(ModelSpec("lattice1d", 20))
-    dec = eigendecompose(pair.h0)
+    dec = eigendecompose(pair.dense("free"))
     phi = lambda x: np.arctan(5.0 * x) / np.pi + 0.5
     got = apply_function(dec, phi)
     oracle = np.zeros((41, 41))
@@ -167,13 +199,13 @@ def test_apply_function_scalar_loop_oracle():
 def test_kernel_equality_probe():
     # invertible truncation: both kernels trivial
     pair = build_model(ModelSpec("jacobi", 1, ((0, 0.5),)))
-    for m in (pair.h0, pair.h):
+    for m in (pair.dense("free"), pair.dense("full")):
         w = np.linalg.eigvalsh(m)
         assert np.min(np.abs(w)) > 1e-8
     # planted kernel: middle-site perturbation vanishes on the zero mode
     pair = build_model(ModelSpec("jacobi", 2, ((1, 0.8),)))
-    w0 = np.linalg.eigvalsh(pair.h0)
-    w1 = np.linalg.eigvalsh(pair.h)
+    w0 = np.linalg.eigvalsh(pair.dense("free"))
+    w1 = np.linalg.eigvalsh(pair.dense("full"))
     assert np.sum(np.abs(w0) <= 1e-8) == 1
     assert np.sum(np.abs(w1) <= 1e-8) == 1
 

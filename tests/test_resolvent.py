@@ -53,6 +53,15 @@ def test_t0_complex_symmetry():
         assert np.linalg.norm(t0 - t0.T, 2) <= 1e-12
 
 
+def test_truncated_t0_is_banded_for_every_kind():
+    # random_traceclass has a dense V but the same tridiagonal H0
+    pair = build_model(ModelSpec("random_traceclass", 15, decay_rate=1.5, seed=2))
+    h0 = pair.dense("free")
+    for z in (0.3 + 0.2j, -1.1 + 1e-3j, 2.5 - 0.7j):
+        ref = pair.g @ np.linalg.solve(h0 - z * np.eye(h0.shape[0]), pair.g.T.astype(complex))
+        assert np.max(np.abs(t0_of_z(pair, z, "truncated") - ref)) <= 1e-12
+
+
 def test_t0_mode_errors():
     pair = _pair()
     with pytest.raises(ResolventError):
@@ -84,8 +93,8 @@ def test_t_matches_truncated_resolvent_oracle():
     pair = build_model(ModelSpec("lattice1d", 500, ((0, 0.5),)))
     t0 = t0_of_z(pair, 1j, mode="infinite_lattice")
     t = t_of_z(pair, t0)
-    full = pair.g @ np.linalg.solve(pair.h - 1j * np.eye(pair.h.shape[0]),
-                                    pair.g.T.astype(complex))
+    h = pair.dense("full")
+    full = pair.g @ np.linalg.solve(h - 1j * np.eye(h.shape[0]), pair.g.T.astype(complex))
     assert np.max(np.abs(t - full)) <= 1e-6
 
 
