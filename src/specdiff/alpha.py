@@ -14,16 +14,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import tolerances as tol
 from .opcore import (ModelSpec, OperatorPair, build_model, eig, eigendecompose_pair,
                      projection_difference, select_spectrum, spectral_block)
-from .resolvent import BAND_MARGIN, BoundaryValue
-
-ALPHA_CAP_TOL = 1e-6
-KERNEL_TOL = 1e-6
-UNITARITY_TOL = 1e-6
-EPSN_MIN = 50.0
-TRANSIENT_MOVE = 0.1
-PM_ONE_TOL = 1e-6
+from .resolvent import BoundaryValue
 
 
 class AlphaError(ValueError):
@@ -40,7 +34,7 @@ class AlphaEstimate:
     def __post_init__(self):
         if self.value < -1e-10:
             raise AlphaError(f"negative alpha {self.value}")
-        if self.value > 1.0 + ALPHA_CAP_TOL:
+        if self.value > 1.0 + tol.ALPHA_CAP:
             raise AlphaError(f"alpha {self.value} exceeds the unit cap")
 
 
@@ -71,12 +65,12 @@ class EssSpectrumEstimate:
         })
 
 
-def psd_sqrt(m: np.ndarray, floor=-1e-10) -> np.ndarray:
-    """Symmetric square root with tiny negative eigenvalues clamped at zero."""
+def psd_sqrt(m: np.ndarray) -> np.ndarray:
+    """Symmetric square root with negative eigenvalues down to -tol.PSD_FLOOR clamped at zero."""
     if m.size == 0:
         return m.copy()
     w, v = np.linalg.eigh((m + m.T) / 2)
-    if w.min() < floor:
+    if w.min() < -tol.PSD_FLOOR:
         raise AlphaError(f"matrix not PSD (min eigenvalue {w.min():.3e})")
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
 
@@ -107,7 +101,7 @@ def alpha_smatrix(bv: BoundaryValue, j: np.ndarray) -> AlphaEstimate:
     if k == 0:
         return AlphaEstimate(lam=bv.lam, value=0.0, route="smatrix_tilde")
     defect = float(np.linalg.norm(st.conj().T @ st - np.eye(k), 2))
-    if defect > UNITARITY_TOL:
+    if defect > tol.UNITARITY:
         raise AlphaError(f"S-tilde unitarity defect {defect:.3e}: "
                          "boundary values inconsistent")
     value = 0.5 * float(np.linalg.norm(st - np.eye(k), 2))
@@ -129,10 +123,10 @@ def alpha_proj_limit(pair: OperatorPair, lam, eps_schedule) -> AlphaEstimate:
         raise AlphaError("empty eps schedule")
     n = pair.spec.n_half
     for e in eps_schedule:
-        if e * n < EPSN_MIN:
-            raise AlphaError(f"eps*N = {e * n:.1f} < {EPSN_MIN}: window too narrow "
+        if e * n < tol.EPS_N_MIN:
+            raise AlphaError(f"eps*N = {e * n:.1f} < {tol.EPS_N_MIN}: window too narrow "
                              "for the truncation")
-    if pair.spec.kind == "lattice1d" and abs(lam) > 2.0 - BAND_MARGIN:
+    if pair.spec.kind == "lattice1d" and abs(lam) > 2.0 - tol.BAND_MARGIN:
         raise AlphaError(f"lambda={lam} within band_margin of the band edge")
     if pair.k_dim == 0:
         diag = [(e, 0.0) for e in eps_schedule]
@@ -204,7 +198,7 @@ def nearest_distances(x, points):
     return np.minimum(np.abs(x - points[lo]), np.abs(x - points[hi]))
 
 
-def transient_filter(cloud, prev_cloud, move_tol=TRANSIENT_MOVE):
+def transient_filter(cloud, prev_cloud, move_tol=tol.TRANSIENT_MOVE):
     """Drop eigenvalues that moved by more than move_tol since the previous rung."""
     cloud = np.sort(np.asarray(cloud))
     prev = np.sort(np.asarray(prev_cloud))
@@ -258,8 +252,8 @@ def _ess_estimate(lam, n_list, clouds, residuals) -> EssSpectrumEstimate:
     alpha_emp = float(np.max(np.abs(filtered))) if filtered.size else 0.0
     inner = np.sort(filtered[np.abs(filtered) <= alpha_emp + 1e-12])
     fill = float(np.max(np.diff(inner))) if inner.size >= 2 else 0.0
-    plus = int(np.sum(np.abs(clouds[-1] - 1.0) <= PM_ONE_TOL))
-    minus = int(np.sum(np.abs(clouds[-1] + 1.0) <= PM_ONE_TOL))
+    plus = int(np.sum(np.abs(clouds[-1] - 1.0) <= tol.PM_ONE))
+    minus = int(np.sum(np.abs(clouds[-1] + 1.0) <= tol.PM_ONE))
     return EssSpectrumEstimate(lam=lam, n_list=n_list,
                                eigenvalue_clouds=tuple(clouds),
                                filtered_cloud=filtered,
@@ -275,17 +269,17 @@ def fredholm_check(bv: BoundaryValue, j: np.ndarray) -> dict:
 
     sigma_min_0 = smallest singular value of I + A0(lambda) J,
     sigma_min_1 = smallest singular value of I - A(lambda) J; both must land
-    on the same side of KERNEL_TOL.
+    on the same side of tol.KERNEL_TOL.
     """
     k = bv.a0.shape[0]
     if k == 0:
         return {"sigma_min_0": 1.0, "sigma_min_1": 1.0, "fredholm": True}
     s0 = float(np.linalg.svd(np.eye(k) + bv.a0 @ j, compute_uv=False).min())
     s1 = float(np.linalg.svd(np.eye(k) - bv.a @ j, compute_uv=False).min())
-    side0 = s0 > KERNEL_TOL
-    side1 = s1 > KERNEL_TOL
+    side0 = s0 > tol.KERNEL_TOL
+    side1 = s1 > tol.KERNEL_TOL
     if side0 != side1:
         raise AlphaError(
             f"Fredholm equivalence violated: sigma_min_0={s0:.3e}, "
-            f"sigma_min_1={s1:.3e} straddle kernel_tol={KERNEL_TOL:.1e}")
+            f"sigma_min_1={s1:.3e} straddle kernel_tol={tol.KERNEL_TOL:.1e}")
     return {"sigma_min_0": s0, "sigma_min_1": s1, "fredholm": side0}

@@ -13,10 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import svds
 
+from . import tolerances as tol
 from .opcore import OperatorPair, eig
-
-GRID_SPAN = 1e12
-SYM_TOL = 1e-12
 
 
 class HankelError(ValueError):
@@ -41,7 +39,7 @@ def opnorm2(m: np.ndarray) -> float:
     return float(s[0])
 
 
-def graded_grid(n, t_max, span=GRID_SPAN):
+def graded_grid(n, t_max, span=tol.GRID_SPAN):
     """Geometric grid on (0, T) refined toward 0, with cell-length weights.
 
     The grid spans (T/span, T) with ratio span^(1/(n-1)), so doubling n
@@ -66,7 +64,7 @@ def gamma_kernel(t, s):
     return -np.expm1(-x) / x
 
 
-def gamma_matrix(n, t_max, span=GRID_SPAN) -> HankelDiscretization:
+def gamma_matrix(n, t_max, span=tol.GRID_SPAN) -> HankelDiscretization:
     """Symmetrized Nystrom matrix of the (1 - e^{-t-s})/(t+s) kernel."""
     nodes, weights = graded_grid(n, t_max, span)
     root = np.sqrt(weights)
@@ -75,7 +73,7 @@ def gamma_matrix(n, t_max, span=GRID_SPAN) -> HankelDiscretization:
     return HankelDiscretization(nodes=nodes, weights=weights, matrix=m)
 
 
-def hankel_bound_check(kernel, c, n, t_max, span=GRID_SPAN) -> dict:
+def hankel_bound_check(kernel, c, n, t_max, span=tol.GRID_SPAN) -> dict:
     """Carleman comparison bound ||K|| <= pi*C for kernels with ||K(t)|| <= C/t.
 
     kernel(t) may return a scalar or a small symmetric matrix.  The hypothesis
@@ -104,7 +102,7 @@ def hankel_bound_check(kernel, c, n, t_max, span=GRID_SPAN) -> dict:
     return {"norm": norm, "bound_ok": bool(norm <= np.pi * c + 1e-6)}
 
 
-def gamma_tensor_spectrum(q: np.ndarray, n, t_max, span=GRID_SPAN) -> np.ndarray:
+def gamma_tensor_spectrum(q: np.ndarray, n, t_max, span=tol.GRID_SPAN) -> np.ndarray:
     """Eigenvalues of Gamma^2 tensor Q as sorted Kronecker products."""
     q = np.atleast_2d(np.asarray(q, dtype=float))
     wq = np.linalg.eigvalsh((q + q.T) / 2)
@@ -116,7 +114,7 @@ def gamma_tensor_spectrum(q: np.ndarray, n, t_max, span=GRID_SPAN) -> np.ndarray
     return np.sort(np.outer(wg, wq).ravel())
 
 
-def build_l_operators(pair: OperatorPair, lam, n, t_max, span=GRID_SPAN) -> dict:
+def build_l_operators(pair: OperatorPair, lam, n, t_max, span=tol.GRID_SPAN) -> dict:
     """Discretized L0, L and the residual of E(-1,0) E0(0,1) = -L J L0^*.
 
     Spectra are translated so the reference point lambda sits at 0; the unit

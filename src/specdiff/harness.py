@@ -3,7 +3,9 @@
 Each run consumes an ExperimentConfig (JSON), dispatches to the computational
 modules, writes CSV/JSON artifacts into the output directory, and finishes
 with a manifest recording the config hash, a content digest for every file,
-the tolerance table in force, and any per-point failures.
+the tolerance table in force (tolerances.table(), read when the manifest is
+written) and any per-point failures.  A config has no tolerance overrides:
+an unknown key is a ConfigError.
 """
 
 from __future__ import annotations
@@ -12,39 +14,18 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
 
-from . import alpha, opcore, pcfunc, resolvent, scatter1d
+from . import tolerances as tol
 from .alpha import alpha_derivative, alpha_smatrix, d_spectrum_ladders, fredholm_check
 from .opcore import ModelSpec, build_model
 from .pcfunc import (PiecewiseFn, accumulation_set, empirical_spectrum,
                      hausdorff, predicted_ess_spectrum)
 from .resolvent import boundary_value
 from .scatter1d import smatrix_stationary, smatrix_transfer
-
-# the module constants the code reads: the values in force (config overrides
-# are not applied; validate reports them)
-TOLERANCE_TABLE = {
-    "band_margin": resolvent.BAND_MARGIN,
-    "spectral_point_ulps": opcore.SPECTRAL_POINT_ULPS,
-    "psd_floor": resolvent.PSD_TOL,
-    "inversion_identity": resolvent.INV_IDENTITY_TOL,
-    "resonance_cond": resolvent.RESONANCE_COND,
-    "alpha_cap": alpha.ALPHA_CAP_TOL,
-    "kernel_tol": alpha.KERNEL_TOL,
-    "unitarity": alpha.UNITARITY_TOL,
-    "scattering_unitarity": scatter1d.UNITARITY_TOL,
-    "stationary_z_normalization": scatter1d.C6_TOL,
-    "eps_n_min": alpha.EPSN_MIN,
-    "transient_move": alpha.TRANSIENT_MOVE,
-    "pm_one": alpha.PM_ONE_TOL,
-    "accumulation": pcfunc.ACCUMULATION_TOL,
-}
-
-TOLERANCE_VERSION = 3
 
 
 class ConfigError(ValueError):
@@ -63,9 +44,7 @@ class ExperimentConfig:
     model: ModelSpec
     lambda_grid: tuple = ()
     n_list: tuple = ()
-    epsilon_schedule: tuple = ()
     output_dir: str = "out"
-    tolerances: tuple = ()
     phi: PiecewiseFn | None = None
     hankel_n: int = 200
     hankel_t: float = 50.0
@@ -75,31 +54,34 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         object.__setattr__(self, "lambda_grid", tuple(float(x) for x in self.lambda_grid))
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
-        object.__setattr__(self, "epsilon_schedule",
-                           tuple(float(e) for e in self.epsilon_schedule))
-        object.__setattr__(self, "tolerances", tuple(self.tolerances))
 
     @classmethod
     def from_json(cls, text):
         doc = json.loads(text)
-        if "kind" not in doc or "model" not in doc:
-            raise ConfigError("config must carry 'kind' and 'model'")
-        model = ModelSpec.from_json(json.dumps(doc["model"]))
-        phi = None
-        if doc.get("phi") is not None:
-            phi = PiecewiseFn.from_json(json.dumps(doc["phi"]))
-        return cls(
-            kind=doc["kind"],
-            model=model,
-            lambda_grid=tuple(_expand_grid(doc.get("lambda_grid", []))),
-            n_list=tuple(doc.get("n_list", [])),
-            epsilon_schedule=tuple(doc.get("epsilon_schedule", [])),
-            output_dir=doc.get("output_dir", "out"),
-            tolerances=tuple(sorted(doc.get("tolerances", {}).items())),
-            phi=phi,
-            hankel_n=int(doc.get("hankel_n", 200)),
-            hankel_t=float(doc.get("hankel_t", 50.0)),
-        )
+        try:
+            if "kind" not in doc or "model" not in doc:
+                raise ConfigError("config must carry 'kind' and 'model'")
+            for key in doc:
+                if key not in {f.name for f in fields(cls)}:
+                    raise ConfigError(f"unknown config key {key!r}")
+            model = ModelSpec.from_json(json.dumps(doc["model"]))
+            phi = None
+            if doc.get("phi") is not None:
+                phi = PiecewiseFn.from_json(json.dumps(doc["phi"]))
+            return cls(
+                kind=doc["kind"],
+                model=model,
+                lambda_grid=tuple(_expand_grid(doc.get("lambda_grid", []))),
+                n_list=tuple(doc.get("n_list", [])),
+                output_dir=doc.get("output_dir", "out"),
+                phi=phi,
+                hankel_n=int(doc.get("hankel_n", 200)),
+                hankel_t=float(doc.get("hankel_t", 50.0)),
+            )
+        except KeyError as exc:
+            raise ConfigError(f"config lacks key {exc.args[0]!r}") from exc
+        except TypeError as exc:
+            raise ConfigError(f"malformed config: {exc}") from exc
 
     @classmethod
     def from_file(cls, path):
@@ -112,9 +94,7 @@ class ExperimentConfig:
             "model": json.loads(self.model.to_json()),
             "lambda_grid": list(self.lambda_grid),
             "n_list": list(self.n_list),
-            "epsilon_schedule": list(self.epsilon_schedule),
             "output_dir": self.output_dir,
-            "tolerances": dict(self.tolerances),
             "phi": json.loads(self.phi.to_json()) if self.phi else None,
             "hankel_n": self.hankel_n,
             "hankel_t": self.hankel_t,
@@ -144,22 +124,14 @@ def _fatal_diagnostics(config: ExperimentConfig):
 def validate(config: ExperimentConfig):
     """Static configuration diagnostics; no computation, nothing thrown.
 
-    Includes advisory warnings (band-edge grid points, window schedules) on
-    top of the structural checks that would stop a run.
+    Includes advisory warnings (band-edge grid points) on top of the
+    structural checks that would stop a run.
     """
     diags = _fatal_diagnostics(config)
-    for key, _ in config.tolerances:
-        diags.append(f"tolerance override {key!r} is not applied")
-    margin = TOLERANCE_TABLE["band_margin"]
     for lam in config.lambda_grid:
-        if config.model.kind == "lattice1d" and abs(lam) > 2.0 - margin \
+        if config.model.kind == "lattice1d" and abs(lam) > 2.0 - tol.BAND_MARGIN \
                 and config.kind != "d_ladder":
             diags.append(f"lambda={lam} within band_margin of the spectral edge")
-    for eps in config.epsilon_schedule:
-        n = max(config.n_list) if config.n_list else config.model.n_half
-        if eps * n < TOLERANCE_TABLE["eps_n_min"]:
-            diags.append(f"eps*N = {eps * n:.1f} violates the eps*N >= "
-                         f"{TOLERANCE_TABLE['eps_n_min']:.0f} rule")
     return diags
 
 
@@ -182,8 +154,8 @@ class RunRecord:
             "finished": self.finished,
             "files": self.files,
             "errors": self.errors,
-            "tolerances": TOLERANCE_TABLE,
-            "tolerance_version": TOLERANCE_VERSION,
+            "tolerances": tol.table(),
+            "tolerance_version": tol.__version__,
         }, indent=2, sort_keys=True)
 
 
@@ -267,11 +239,7 @@ def _scattering_rows(pair, bv, lam):
 
 
 def _run_d_ladder(config, emit, record):
-    try:
-        ests = d_spectrum_ladders(config.model, config.lambda_grid, config.n_list)
-    except Exception as exc:
-        record.errors.extend(_errors(config.lambda_grid, exc))
-        return
+    ests = d_spectrum_ladders(config.model, config.lambda_grid, config.n_list)
     for lam, est in zip(config.lambda_grid, ests):
         emit.write(f"d_ladder_lambda_{lam:+.6g}.json", est.to_json())
 
@@ -350,7 +318,9 @@ def run(config: ExperimentConfig, overwrite=False) -> RunRecord:
 
     Refuses to touch an output directory that already holds a manifest unless
     overwrite is set; per-point module errors are recorded and the remaining
-    grid points still run (status 'partial').
+    grid points still run (status 'partial').  An error that stops the whole
+    runner is recorded once per lambda of the grid (once, with lambda None,
+    for an empty grid), and the manifest is still written.
     """
     diags = _fatal_diagnostics(config)
     if diags:
@@ -364,7 +334,10 @@ def run(config: ExperimentConfig, overwrite=False) -> RunRecord:
                        started=time.time())
     emit = _Emitter(out_dir, record)
     runner, _ = _DISPATCH[config.kind]
-    runner(config, emit, record)
+    try:
+        runner(config, emit, record)
+    except Exception as exc:
+        record.errors.extend(_errors(config.lambda_grid or (None,), exc))
     record.finished = time.time()
     record.status = "partial" if record.errors else "complete"
     _write_atomic(manifest_path, record.manifest(config))

@@ -3,7 +3,9 @@
 Builds the finite truncations of the perturbed/unperturbed pair (H0, H), H0
 stored as its bands, with the factorization V = G^T J G, and provides the one
 eigensolver of a pair (eig), spectral projections E(-inf, lambda) and
-functions of operators phi(H).
+functions of operators phi(H).  Its two thresholds, the symmetry check of
+eigendecompose and the on-point rule's SPECTRAL_POINT_ULPS, are read from
+specdiff.tolerances.
 """
 
 from __future__ import annotations
@@ -13,13 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-SYM_TOL = 1e-10
-# An eigenvalue within SPECTRAL_POINT_ULPS * eps * ||M|| of a spectral point
-# counts as equal to it.  Roundoff puts an exact eigenvalue at most a few
-# eps * ||M|| off (<= 6.5e-16 for the lattice1d H0, N = 2..8000), while true
-# eigenvalue gaps stay >= 7.8e-4 up to N = 4000, so the rule follows exact
-# arithmetic with wide margins on both sides.
-SPECTRAL_POINT_ULPS = 32
+from . import tolerances as tol
 
 _KINDS = ("lattice1d", "jacobi", "random_traceclass")
 
@@ -115,6 +111,7 @@ class OperatorPair:
     v  -- the diagonal of V, shape (n,), for lattice1d and jacobi; the dense
           V for random_traceclass.
     dense(which) forms H0 ('free') or H ('full'), for eig's dense route and tests.
+    support() gives the potential's sites and the |V|^{1/2} weights on them.
     """
 
     h0: np.ndarray
@@ -126,6 +123,11 @@ class OperatorPair:
     @property
     def k_dim(self):
         return self.g.shape[0]
+
+    def support(self):
+        pot = self.spec.potential
+        return (np.array([s for s, _ in pot], dtype=int),
+                np.sqrt(np.abs(np.array([v for _, v in pot]))))
 
     def dense(self, which):
         if which not in ("free", "full"):
@@ -202,7 +204,7 @@ def is_tridiagonal(pair: OperatorPair) -> bool:
 def eigendecompose(m: np.ndarray) -> SpectralDecomposition:
     """Full dense decomposition of a symmetric matrix, with residual report."""
     asym = np.linalg.norm(m - m.T, np.inf)
-    if asym > SYM_TOL * max(1.0, np.linalg.norm(m, np.inf)):
+    if asym > tol.SYMMETRY * max(1.0, np.linalg.norm(m, np.inf)):
         raise ModelError(f"matrix not symmetric (asymmetry {asym:.3e})")
     w, vecs = np.linalg.eigh((m + m.T) / 2)
     resid = np.linalg.norm(m @ vecs - vecs * w)     # Frobenius: bounds the 2-norm, no SVD
@@ -243,8 +245,8 @@ def eigendecompose_pair(pair: OperatorPair):
 
 
 def spectral_point_tol(scale: float) -> float:
-    """SPECTRAL_POINT_ULPS * eps * scale, for scale = ||M||."""
-    return SPECTRAL_POINT_ULPS * float(np.finfo(float).eps) * float(scale)
+    """tol.SPECTRAL_POINT_ULPS * eps * scale, for scale = ||M||."""
+    return tol.SPECTRAL_POINT_ULPS * float(np.finfo(float).eps) * float(scale)
 
 
 def snap_to_points(w, points) -> np.ndarray:
@@ -254,10 +256,10 @@ def snap_to_points(w, points) -> np.ndarray:
     |w|) = spectral_point_tol(||M||) of the point.  Infinite points are ignored.
     """
     w = np.array(w, dtype=float)
-    tol = spectral_point_tol(float(np.max(np.abs(w))) if w.size else 0.0)
+    atol = spectral_point_tol(float(np.max(np.abs(w))) if w.size else 0.0)
     for p in points:
         if np.isfinite(p):
-            w[np.abs(w - p) <= tol] = p
+            w[np.abs(w - p) <= atol] = p
     return w
 
 
@@ -295,7 +297,7 @@ def spectral_projection(dec: SpectralDecomposition, lam: float) -> np.ndarray:
     """Projection E(-inf, lam) = sum over eigenvalues strictly below lam.
 
     "Strictly below" holds in exact arithmetic: an eigenvalue within
-    spectral_point_tol (SPECTRAL_POINT_ULPS * eps * ||M||) of lam equals lam
+    spectral_point_tol (tol.SPECTRAL_POINT_ULPS * eps * ||M||) of lam equals lam
     and is left out, whichever sign its roundoff has (select_spectrum).
     """
     vecs = spectral_block(dec.eigenvalues, dec.eigenvectors, lam)

@@ -16,13 +16,11 @@ import json
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, svds
 
+from . import tolerances as tol
 from .alpha import nearest_distances, transient_filter
 from .opcore import (ModelSpec, OperatorPair, apply_function, build_model,
                      eigendecompose_pair, projection_difference, snap_to_points,
                      spectral_block)
-from .resolvent import BAND_MARGIN
-
-ACCUMULATION_TOL = 0.02
 
 _BACKGROUNDS = ("zero", "gaussian_bump", "arctan_step_smoothed")
 
@@ -51,7 +49,7 @@ class PiecewiseFn:
                    takes the value left_limit for x <= location and
                    right_limit beyond it (left-limit convention at the jump).
                    Applied to an operator (symbol_difference), an eigenvalue
-                   within opcore.spectral_point_tol (SPECTRAL_POINT_ULPS * eps
+                   within opcore.spectral_point_tol (tol.SPECTRAL_POINT_ULPS * eps
                    * ||M||) of a location equals it and takes left_limit.
     background  -- preset name: zero, gaussian_bump, arctan_step_smoothed.
     background_params -- preset parameters (amplitude, center, width).
@@ -191,7 +189,7 @@ def predicted_ess_spectrum(phi: PiecewiseFn, alpha_fn) -> SegmentUnion:
     """
     endpoints = []
     for loc in phi.singsupp():
-        if abs(loc) > 2.0 - BAND_MARGIN:
+        if abs(loc) > 2.0 - tol.BAND_MARGIN:
             raise SymbolError(f"jump at {loc} outside the valid spectral window")
         a = float(alpha_fn(loc))
         endpoints.append(a * phi.kappa(loc))
@@ -201,7 +199,7 @@ def predicted_ess_spectrum(phi: PiecewiseFn, alpha_fn) -> SegmentUnion:
 def symbol_difference(pair: OperatorPair, phi: PiecewiseFn) -> np.ndarray:
     """Dense phi(H) - phi(H0) by spectral calculus.
 
-    An eigenvalue within opcore.spectral_point_tol (SPECTRAL_POINT_ULPS * eps
+    An eigenvalue within opcore.spectral_point_tol (tol.SPECTRAL_POINT_ULPS * eps
     * ||M||) of a jump location counts as equal to it and so takes the
     left limit, whichever sign its roundoff has (opcore.select_spectrum).
     Pure step symbols reduce to differences of eigenvector-block projections
@@ -263,9 +261,9 @@ def _spectra(spec, phis, n_list):
                  for c in clouds)
 
 
-def accumulation_set(cloud, prev_cloud, tol=ACCUMULATION_TOL):
-    """Cloud points reproduced within tol at the previous ladder rung."""
-    return transient_filter(cloud, prev_cloud, move_tol=tol)
+def accumulation_set(cloud, prev_cloud):
+    """Cloud points reproduced within tol.ACCUMULATION at the previous ladder rung."""
+    return transient_filter(cloud, prev_cloud, move_tol=tol.ACCUMULATION)
 
 
 def hausdorff(a, b):

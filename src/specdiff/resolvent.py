@@ -13,14 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
+from . import tolerances as tol
 from .opcore import OperatorPair, eig
-
-BAND_MARGIN = 0.1
-PSD_TOL = 1e-10
-INV_IDENTITY_TOL = 1e-9
-RESONANCE_COND = 1e12
-EPS0_DEFAULT = 0.1
-M_DEFAULT = 10
 
 
 class ResolventError(ValueError):
@@ -91,14 +85,6 @@ def lattice_w(z):
     return w1 if abs(w1) < abs(w2) else w2
 
 
-def _support_sites(pair: OperatorPair):
-    return np.array([s for s, _ in pair.spec.potential], dtype=int)
-
-
-def _weights(pair: OperatorPair):
-    return np.sqrt(np.abs(np.array([v for _, v in pair.spec.potential])))
-
-
 def t0_of_z(pair: OperatorPair, z, mode="truncated") -> np.ndarray:
     """Sandwiched free resolvent T0(z) = G R0(z) G^T restricted to the support."""
     z = complex(z)
@@ -108,12 +94,11 @@ def t0_of_z(pair: OperatorPair, z, mode="truncated") -> np.ndarray:
             raise ResolventError("infinite_lattice mode requires a lattice1d pair")
         if z.imag < 0:
             raise ResolventError("infinite_lattice mode needs Im z >= 0")
-        if z.imag == 0 and abs(z.real) >= 2.0 - BAND_MARGIN and abs(z.real) <= 2.0 + BAND_MARGIN:
+        if z.imag == 0 and 2.0 - tol.BAND_MARGIN <= abs(z.real) <= 2.0 + tol.BAND_MARGIN:
             raise ResolventError(f"z = {z} too close to the band edge")
         if k == 0:
             return np.zeros((0, 0), dtype=complex)
-        sites = _support_sites(pair)
-        g = _weights(pair)
+        sites, g = pair.support()
         w = lattice_w(z)
         dist = np.abs(sites[:, None] - sites[None, :])
         r0 = w ** dist / (w - 1.0 / w)
@@ -139,11 +124,11 @@ def t_of_z(pair: OperatorPair, t0z: np.ndarray) -> np.ndarray:
     j = pair.j
     m = np.eye(k) + t0z @ j
     cond = np.linalg.cond(m)
-    if not np.isfinite(cond) or cond > RESONANCE_COND:
+    if not np.isfinite(cond) or cond > tol.RESONANCE_COND:
         raise ResonanceError(f"I + T0 J singular (cond {cond:.3e}); perturb lambda")
     t = np.linalg.solve(m, t0z)
     defect = np.linalg.norm((np.eye(k) - t @ j) @ m - np.eye(k), 2)
-    if defect > INV_IDENTITY_TOL:
+    if defect > tol.INVERSION_IDENTITY:
         raise ResolventError(f"resolvent inversion identity violated ({defect:.3e})")
     return t
 
@@ -160,7 +145,7 @@ def _assemble(pair, lam, t0, err, route):
     a0, b0 = _real_imag_parts(t0)
     a, b = _real_imag_parts(t)
     for name, mat in (("B0", b0), ("B", b)):
-        if mat.size and np.linalg.eigvalsh(mat).min() < -PSD_TOL:
+        if mat.size and np.linalg.eigvalsh(mat).min() < -tol.PSD_FLOOR:
             raise ResolventError(f"{name} not positive semidefinite at lambda={lam}")
     return BoundaryValue(lam=float(lam), t0=t0, t=t, a0=a0, b0=b0, a=a, b=b,
                          f0p=b0 / np.pi, fp=b / np.pi,
@@ -187,13 +172,13 @@ def _richardson(seq, order=2):
     return table[best + 1], diffs[best]
 
 
-def boundary_value(pair: OperatorPair, lam, route="auto",
-                   eps0=EPS0_DEFAULT, m=M_DEFAULT) -> BoundaryValue:
+def boundary_value(pair: OperatorPair, lam, route="auto") -> BoundaryValue:
     """Boundary value record at lambda + i0.
 
     route 'closed_form' evaluates the infinite-lattice kernel exactly
     (lattice1d only); 'extrapolated' uses the truncated resolvent at
-    eps_j = eps0 * 2^-j with order-2 Richardson extrapolation.
+    eps_j = tol.RICHARDSON_EPS0 * 2^-j, j = 0..tol.RICHARDSON_STEPS, with
+    order-2 Richardson extrapolation.
     """
     if route == "auto":
         route = "closed_form" if pair.spec.kind == "lattice1d" else "extrapolated"
@@ -205,13 +190,13 @@ def boundary_value(pair: OperatorPair, lam, route="auto",
     if route == "closed_form":
         if pair.spec.kind != "lattice1d":
             raise ResolventError("closed_form route requires lattice1d")
-        if abs(lam) > 2.0 - BAND_MARGIN:
+        if abs(lam) > 2.0 - tol.BAND_MARGIN:
             raise ResolventError(f"lambda={lam} within band_margin of the band edge")
         t0 = t0_of_z(pair, complex(lam), mode="infinite_lattice")
         return _assemble(pair, lam, t0, 0.0, "closed_form")
     if route != "extrapolated":
         raise ResolventError(f"unknown route {route!r}")
-    eps = [eps0 * 2.0 ** (-jj) for jj in range(m + 1)]
+    eps = [tol.RICHARDSON_EPS0 * 2.0 ** (-jj) for jj in range(tol.RICHARDSON_STEPS + 1)]
     seq = [t0_of_z(pair, lam + 1j * e, mode="truncated") for e in eps]
     t0, err = _richardson(seq, order=2)
     return _assemble(pair, lam, t0, err, "extrapolated")
@@ -226,7 +211,7 @@ def stone_consistency(pair: OperatorPair, a, b, grid) -> float:
     """
     if grid < 8:
         raise ResolventError("grid must be >= 8")
-    if not (-2.0 + BAND_MARGIN <= a < b <= 2.0 - BAND_MARGIN):
+    if not (-2.0 + tol.BAND_MARGIN <= a < b <= 2.0 - tol.BAND_MARGIN):
         raise ResolventError("[a, b] must sit inside the band, away from edges")
     if pair.k_dim == 0:
         return 0.0

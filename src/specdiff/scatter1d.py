@@ -12,11 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tolerances as tol
 from .opcore import OperatorPair
-from .resolvent import BAND_MARGIN, BoundaryValue
-
-UNITARITY_TOL = 1e-10
-C6_TOL = 1e-9
+from .resolvent import BoundaryValue
 
 
 class ScatteringError(ValueError):
@@ -34,7 +32,7 @@ class LatticeScattering:
 
     def __post_init__(self):
         defect = np.linalg.norm(self.s.conj().T @ self.s - np.eye(2), 2)
-        if defect > UNITARITY_TOL:
+        if defect > tol.SCATTERING_UNITARITY:
             raise ScatteringError(f"S matrix unitarity defect {defect:.3e}")
 
 
@@ -70,7 +68,7 @@ def _propagate(potential, lam, kappa, incoming_right):
 
 def smatrix_transfer(potential, lam) -> LatticeScattering:
     """Transfer-matrix S(lambda) for a compactly supported lattice potential."""
-    if abs(lam) > 2.0 - BAND_MARGIN:
+    if abs(lam) > 2.0 - tol.BAND_MARGIN:
         raise ScatteringError(f"lambda={lam} too close to the band edge")
     kappa = float(np.arccos(lam / 2.0))
     potential = [(int(s), float(v)) for s, v in potential if float(v) != 0.0]
@@ -99,15 +97,14 @@ def smatrix_stationary(pair: OperatorPair, bv: BoundaryValue) -> np.ndarray:
     if pair.k_dim == 0:
         return np.eye(2, dtype=complex)
     kappa = float(np.arccos(bv.lam / 2.0))
-    sites = np.array([s for s, _ in pair.spec.potential], dtype=float)
-    g = np.sqrt(np.abs(np.array([v for _, v in pair.spec.potential])))
+    sites, g = pair.support()
     norm = 1.0 / np.sqrt(4.0 * np.pi * np.sin(kappa))
     z = np.vstack([
         norm * np.exp(-1j * kappa * sites) * g,
         norm * np.exp(+1j * kappa * sites) * g,
     ])
     c6_defect = np.linalg.norm(np.pi * z.conj().T @ z - bv.b0, 2)
-    if c6_defect > C6_TOL:
+    if c6_defect > tol.STATIONARY_Z_NORMALIZATION:
         raise ScatteringError(f"pi Z*Z = B0 violated ({c6_defect:.3e})")
     core = pair.j - pair.j @ bv.t @ pair.j
     return np.eye(2) - 2j * np.pi * z @ core @ z.conj().T

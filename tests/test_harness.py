@@ -11,6 +11,7 @@ from click.testing import CliRunner
 
 import specdiff
 from specdiff import harness, opcore
+from specdiff import tolerances as tol
 from specdiff.cli import main
 from specdiff.harness import ConfigError, ExperimentConfig, run, validate
 
@@ -60,8 +61,8 @@ def test_validate_diagnostics(tmp_path):
     diags = validate(ExperimentConfig.from_json(json.dumps(bad)))
     assert any("at least 3" in d for d in diags)
     bad = _config(tmp_path, epsilon_schedule=[0.1], n_list=[100])
-    assert any("eps*N" in d for d in validate(
-        ExperimentConfig.from_json(json.dumps(bad))))
+    with pytest.raises(ConfigError, match="'epsilon_schedule'"):
+        ExperimentConfig.from_json(json.dumps(bad))
 
 
 def test_alpha_sweep_run_and_manifest(tmp_path):
@@ -215,22 +216,65 @@ def test_d_ladder_records_one_error_per_lambda(tmp_path):
 
 
 def test_tolerance_table_reports_the_constants_in_force(tmp_path):
-    from specdiff import alpha, pcfunc, resolvent
-    table = harness.TOLERANCE_TABLE
-    assert table["unitarity"] == alpha.UNITARITY_TOL == 1e-6
-    assert table["band_margin"] == resolvent.BAND_MARGIN
-    assert table["accumulation"] == pcfunc.ACCUMULATION_TOL
+    table = tol.table()
+    assert table["unitarity"] == tol.UNITARITY == 1e-6
+    assert table["band_margin"] == tol.BAND_MARGIN
+    assert table["accumulation"] == tol.ACCUMULATION
     assert "factorization" not in table and "projection_idempotence" not in table
+    # a config cannot override the table: the key is rejected, not ignored
     doc = _config(tmp_path, tolerances={"band_margin": 1.6, "unitarity": 1e-3})
-    cfg = ExperimentConfig.from_json(json.dumps(doc))
-    diags = validate(cfg)
-    assert any("'unitarity' is not applied" in d for d in diags)
-    # no override is applied: the band-edge check keeps the constant in force
-    assert any("'band_margin' is not applied" in d for d in diags)
-    assert not any("lambda=0.5 within band_margin" in d for d in diags)
-    run(cfg)
+    with pytest.raises(ConfigError, match="'tolerances'"):
+        ExperimentConfig.from_json(json.dumps(doc))
+    run(ExperimentConfig.from_json(json.dumps(_config(tmp_path))))
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["tolerances"] == table
+
+
+@pytest.mark.parametrize("key,value", [("tolerances", {"band_margin": 0.5}),
+                                       ("epsilon_schedule", [0.1]),
+                                       ("n_lists", [10, 20, 40])])
+def test_unknown_config_key_rejected(tmp_path, key, value):
+    doc = _config(tmp_path, **{key: value})
+    with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+        ExperimentConfig.from_json(json.dumps(doc))
+    res = CliRunner().invoke(main, ["validate", "--config", _write(tmp_path, doc)])
+    assert res.exit_code == 1 and f"config error: unknown config key '{key}'" in res.output
+
+
+@pytest.mark.parametrize("field,value,key", [
+    ("lambda_grid", {"min": -1.0, "max": 1.0}, "count"),
+    ("phi", {"jumps": [{"lambda": 0.5, "left": [0, 0]}]}, "right"),
+])
+def test_malformed_nested_config_is_a_config_error(tmp_path, field, value, key):
+    doc = _config(tmp_path, **{field: value})
+    with pytest.raises(ConfigError, match=f"config lacks key '{key}'"):
+        ExperimentConfig.from_json(json.dumps(doc))
+    res = CliRunner().invoke(main, ["validate", "--config", _write(tmp_path, doc)])
+    assert res.exit_code == 1 and f"config error: config lacks key '{key}'" in res.output
+
+
+@pytest.mark.parametrize("overrides,lams,error_type", [
+    # predicted_ess_spectrum rejects a jump outside the band margin; no grid
+    ({"kind": "phi_check", "lambda_grid": [],
+      "phi": {"jumps": [{"lambda": 1.95, "left": [0, 0], "right": [1, 0]}]}},
+     [None], "SymbolError"),
+    # graded_grid rejects T < 10 before any lambda is used
+    ({"kind": "hankel_suite", "hankel_n": 20, "hankel_t": 5, "lambda_grid": [0.1, 0.2]},
+     [0.1, 0.2], "HankelError"),
+])
+def test_runner_error_is_recorded_in_the_manifest(tmp_path, overrides, lams, error_type):
+    doc = _config(tmp_path, **overrides)
+    record = run(ExperimentConfig.from_json(json.dumps(doc)))
+    assert record.status == "partial"
+    assert [e["lambda"] for e in record.errors] == lams
+    assert all(e["type"] == error_type for e in record.errors)
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["status"] == "partial" and manifest["errors"] == record.errors
+    doc["output_dir"] = str(tmp_path / "cli")
+    command = "phi" if doc["kind"] == "phi_check" else "hankel"
+    res = CliRunner().invoke(main, [command, "--config", _write(tmp_path, doc)])
+    assert res.exit_code == 2 and "status: partial" in res.output
+    assert json.loads((tmp_path / "cli" / "manifest.json").read_text())["errors"] == record.errors
 
 
 SWEEP_KINDS = ("alpha_sweep", "fredholm_sweep", "scattering_compare")
