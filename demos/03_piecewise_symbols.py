@@ -11,8 +11,7 @@ empirical eigenvalue clouds on a ladder, and reports the Hausdorff distance
 
 import numpy as np
 
-from specdiff import (ModelSpec, PiecewiseFn, accumulation_set,
-                      alpha_derivative, boundary_value, build_model,
+from specdiff import (ModelSpec, PiecewiseFn, alpha_derivative, boundary_value, build_model,
                       empirical_spectrum, hausdorff, predicted_ess_spectrum)
 
 
@@ -32,7 +31,7 @@ def main():
 
     spec = ModelSpec("lattice1d", 250, ((0, 1.0),))
     res = empirical_spectrum(spec, phi, (250, 500, 1000))
-    acc = accumulation_set(res["clouds"][-1], res["clouds"][-2])
+    acc = res["accumulation"]
     target = np.linspace(lo, hi, 2001)
     print(f"stable eigenvalues at N=1000: {acc.size}")
     print(f"Hausdorff distance to prediction: "

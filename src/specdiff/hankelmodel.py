@@ -64,57 +64,51 @@ def gamma_kernel(t, s):
     return -np.expm1(-x) / x
 
 
+def _nystrom(kernel, n, t_max, span) -> HankelDiscretization:
+    # the Nystrom matrix root_i root_j K(t_i + t_j) on the graded grid, exactly symmetric
+    nodes, weights = graded_grid(n, t_max, span)
+    root = np.sqrt(weights)
+    matrix = np.outer(root, root) * kernel(nodes[:, None] + nodes[None, :])
+    return HankelDiscretization(nodes=nodes, weights=weights, matrix=matrix)
+
+
 def gamma_matrix(n, t_max, span=tol.GRID_SPAN) -> HankelDiscretization:
-    """Symmetrized Nystrom matrix of the (1 - e^{-t-s})/(t+s) kernel."""
-    nodes, weights = graded_grid(n, t_max, span)
-    root = np.sqrt(weights)
-    m = root[:, None] * gamma_kernel(nodes[:, None], nodes[None, :]) * root[None, :]
-    m = (m + m.T) / 2
-    return HankelDiscretization(nodes=nodes, weights=weights, matrix=m)
+    """Nystrom matrix of the (1 - e^{-t-s})/(t+s) kernel."""
+    return _nystrom(lambda x: gamma_kernel(x, 0.0), n, t_max, span)
 
 
-def hankel_bound_check(kernel, c, n, t_max, span=tol.GRID_SPAN) -> dict:
-    """Carleman comparison bound ||K|| <= pi*C for kernels with ||K(t)|| <= C/t.
+def hankel_bound_check(kernel, c, n, t_max) -> dict:
+    """Carleman comparison bound ||K|| <= pi*C for kernels with |K(t)| <= C/t.
 
-    kernel(t) may return a scalar or a small symmetric matrix.  The hypothesis
-    is checked on the grid before the discretized norm is formed.
+    kernel is a scalar kernel evaluated on arrays: kernel(x) returns K at
+    every entry of the array x.  The hypothesis is checked on the grid
+    nodes before the discretized norm is formed.
     """
-    nodes, weights = graded_grid(n, t_max, span)
-    blocks = [np.atleast_2d(np.asarray(kernel(t), dtype=float)) for t in nodes]
-    kdim = blocks[0].shape[0]
-    for t, blk in zip(nodes, blocks):
-        nrm = np.linalg.norm(blk, 2)
-        if nrm > c / t + 1e-12:
-            raise HankelError(f"hypothesis ||K(t)|| <= C/t violated at t={t:.3e} "
-                              f"({nrm:.3e} > {c / t:.3e})")
-    root = np.sqrt(weights)
-    big = np.zeros((n * kdim, n * kdim))
-    cache = {}
-    for i in range(n):
-        for jj in range(i, n):
-            key = nodes[i] + nodes[jj]
-            if key not in cache:
-                cache[key] = np.atleast_2d(np.asarray(kernel(key), dtype=float))
-            blk = root[i] * root[jj] * cache[key]
-            big[i * kdim:(i + 1) * kdim, jj * kdim:(jj + 1) * kdim] = blk
-            big[jj * kdim:(jj + 1) * kdim, i * kdim:(i + 1) * kdim] = blk.T
-    norm = opnorm2(big)
-    return {"norm": norm, "bound_ok": bool(norm <= np.pi * c + 1e-6)}
+    disc = _nystrom(kernel, n, t_max, tol.GRID_SPAN)
+    nodes = disc.nodes
+    nrm = np.abs(kernel(nodes))
+    bad = np.flatnonzero(nrm > c / nodes + tol.CARLEMAN_HYPOTHESIS)
+    if bad.size:
+        t, k = nodes[bad[0]], nrm[bad[0]]
+        raise HankelError(f"hypothesis ||K(t)|| <= C/t violated at t={t:.3e} "
+                          f"({k:.3e} > {c / t:.3e})")
+    norm = opnorm2(disc.matrix)
+    return {"norm": norm, "bound_ok": bool(norm <= np.pi * c + tol.CARLEMAN_BOUND)}
 
 
-def gamma_tensor_spectrum(q: np.ndarray, n, t_max, span=tol.GRID_SPAN) -> np.ndarray:
+def gamma_tensor_spectrum(q: np.ndarray, n, t_max) -> np.ndarray:
     """Eigenvalues of Gamma^2 tensor Q as sorted Kronecker products."""
     q = np.atleast_2d(np.asarray(q, dtype=float))
     wq = np.linalg.eigvalsh((q + q.T) / 2)
-    if q.size and wq.min() < -1e-10:
+    if q.size and wq.min() < -tol.PSD_FLOOR:
         raise HankelError("Q must be positive semidefinite")
     wq = np.clip(wq, 0.0, None)
-    gamma = gamma_matrix(n, t_max, span)
+    gamma = gamma_matrix(n, t_max)
     wg = np.linalg.eigvalsh(gamma.matrix) ** 2
     return np.sort(np.outer(wg, wq).ravel())
 
 
-def build_l_operators(pair: OperatorPair, lam, n, t_max, span=tol.GRID_SPAN) -> dict:
+def build_l_operators(pair: OperatorPair, lam, n, t_max) -> dict:
     """Discretized L0, L and the residual of E(-1,0) E0(0,1) = -L J L0^*.
 
     Spectra are translated so the reference point lambda sits at 0; the unit
@@ -122,21 +116,19 @@ def build_l_operators(pair: OperatorPair, lam, n, t_max, span=tol.GRID_SPAN) -> 
     Both windows are open in exact arithmetic (opcore.eig), so an eigenvalue
     on lambda belongs to neither.
     """
-    nodes, weights = graded_grid(n, t_max, span)
-    root = np.sqrt(weights)
+    nodes, weights = graded_grid(n, t_max, tol.GRID_SPAN)
+    cols = np.repeat(np.sqrt(weights), pair.k_dim)
+
+    def semigroup(v, mu):
+        # column block i is sqrt(w_i) v e^{-t_i mu} v^T G^T: one product batched over the nodes
+        a = np.exp(-np.outer(nodes, mu))[:, :, None] * (v.T @ pair.g.T)
+        return (v @ a).transpose(1, 0, 2).reshape(v.shape[0], cols.size) * cols
+
     dec0 = eig(pair, "free", lam, lam + 1.0)
     dec1 = eig(pair, "full", lam - 1.0, lam)
     v0, v1 = dec0.eigenvectors, dec1.eigenvectors
-    mu0, mu1 = dec0.eigenvalues - lam, dec1.eigenvalues - lam
-    k = pair.k_dim
-    nh = pair.spec.dim
-    c0 = v0.T @ pair.g.T          # m0 x k
-    c1 = v1.T @ pair.g.T          # m1 x k
-    l0 = np.empty((nh, n * k))
-    l1 = np.empty((nh, n * k))
-    for i, (t, r) in enumerate(zip(nodes, root)):
-        l0[:, i * k:(i + 1) * k] = r * (v0 @ (np.exp(-t * mu0)[:, None] * c0))
-        l1[:, i * k:(i + 1) * k] = r * (v1 @ (np.exp(t * mu1)[:, None] * c1))
+    l0 = semigroup(v0, dec0.eigenvalues - lam)
+    l1 = semigroup(v1, lam - dec1.eigenvalues)
     jblk = np.kron(np.eye(n), pair.j)
     lhs = v1 @ (v1.T @ v0) @ v0.T
     residual = opnorm2(lhs + (l1 @ jblk) @ l0.T)

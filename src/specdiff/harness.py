@@ -22,8 +22,7 @@ import numpy as np
 from . import tolerances as tol
 from .alpha import alpha_derivative, alpha_smatrix, d_spectrum_ladders, fredholm_check
 from .opcore import ModelSpec, build_model
-from .pcfunc import (PiecewiseFn, accumulation_set, empirical_spectrum,
-                     hausdorff, predicted_ess_spectrum)
+from .pcfunc import PiecewiseFn, empirical_spectrum, hausdorff, predicted_ess_spectrum
 from .resolvent import boundary_value
 from .scatter1d import smatrix_stationary, smatrix_transfer
 
@@ -255,11 +254,7 @@ def _run_phi_check(config, emit, record):
     out = {"predicted_endpoints": [[w.real, w.imag] for w in pred.endpoints]}
     if phi.is_real and config.n_list:
         res = empirical_spectrum(config.model, phi, config.n_list)
-        clouds = res["clouds"]
-        if len(clouds) >= 2:
-            acc = accumulation_set(clouds[-1], clouds[-2])
-        else:
-            acc = clouds[-1]
+        acc = res["accumulation"]
         target = pred.sample()
         dist = hausdorff(np.concatenate([acc, [0.0]]), target) if target.size else 0.0
         out.update({

@@ -149,7 +149,6 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    residual_bound: float
 
 
 def _diag_factorization(v_diag):
@@ -202,13 +201,12 @@ def is_tridiagonal(pair: OperatorPair) -> bool:
 
 
 def eigendecompose(m: np.ndarray) -> SpectralDecomposition:
-    """Full dense decomposition of a symmetric matrix, with residual report."""
+    """Full dense decomposition of a symmetric matrix."""
     asym = np.linalg.norm(m - m.T, np.inf)
     if asym > tol.SYMMETRY * max(1.0, np.linalg.norm(m, np.inf)):
         raise ModelError(f"matrix not symmetric (asymmetry {asym:.3e})")
     w, vecs = np.linalg.eigh((m + m.T) / 2)
-    resid = np.linalg.norm(m @ vecs - vecs * w)     # Frobenius: bounds the 2-norm, no SVD
-    return SpectralDecomposition(eigenvalues=w, eigenvectors=vecs, residual_bound=float(resid))
+    return SpectralDecomposition(eigenvalues=w, eigenvectors=vecs)
 
 
 def eig(pair: OperatorPair, which: str, lo=-np.inf, hi=np.inf,
@@ -230,7 +228,7 @@ def eig(pair: OperatorPair, which: str, lo=-np.inf, hi=np.inf,
         if which == "full":
             d = d + pair.v
         w, vecs = linalg.eigh_tridiagonal(d, e)
-        dec = SpectralDecomposition(eigenvalues=w, eigenvectors=vecs, residual_bound=0.0)
+        dec = SpectralDecomposition(eigenvalues=w, eigenvectors=vecs)
     else:
         dec = eigendecompose(pair.dense(which))
     if lo == -np.inf and hi == np.inf:
@@ -315,26 +313,3 @@ def apply_function(dec: SpectralDecomposition, phi) -> np.ndarray:
     if np.iscomplexobj(vals):
         return (vecs * vals) @ vecs.T.astype(complex)
     return (vecs * vals) @ vecs.T
-
-
-def matrix_to_csv(m: np.ndarray, path):
-    """Row-major CSV export with 17 significant digits (complex as re+imj)."""
-    m = np.atleast_2d(m)
-    cplx = np.iscomplexobj(m)
-    with open(path, "w") as fh:
-        for row in m:
-            if cplx:
-                fh.write(",".join(f"{x.real:.17g}{x.imag:+.17g}j" for x in row))
-            else:
-                fh.write(",".join(f"{x:.17g}" for x in row))
-            fh.write("\n")
-
-
-def matrix_from_csv(path, dtype=float):
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([dtype(tok.strip("()")) for tok in line.split(",")])
-    return np.array(rows, dtype=dtype)

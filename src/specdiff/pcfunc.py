@@ -141,7 +141,6 @@ class SegmentUnion:
     """Union of segments [-w, w] through the origin (w per entry)."""
 
     endpoints: tuple = ()
-    closed: bool = True
 
     def __post_init__(self):
         kept = []
@@ -150,7 +149,8 @@ class SegmentUnion:
             if w == 0:
                 continue
             u = w / abs(w)
-            if not any(abs(v / abs(v) - u) < 1e-14 and abs(v) >= abs(w) for v in kept):
+            if not any(abs(v / abs(v) - u) < tol.DIRECTION_MERGE and abs(v) >= abs(w)
+                       for v in kept):
                 kept.append(w)
         object.__setattr__(self, "endpoints", tuple(kept))
 
@@ -172,11 +172,11 @@ class SegmentUnion:
         a = self.radius()
         return (-a, a)
 
-    def sample(self, per_segment=101):
-        """Point cloud covering every segment, for set-distance comparisons."""
+    def sample(self):
+        """Point cloud covering every segment (101 points each), for set-distance comparisons."""
         pts = [0.0 + 0j] if self.endpoints else []
         for w in self.endpoints:
-            pts.extend(np.linspace(-1.0, 1.0, per_segment) * w)
+            pts.extend(np.linspace(-1.0, 1.0, 101) * w)
         return np.array(pts)
 
 
@@ -235,9 +235,10 @@ def _difference(decs, phi):
 def empirical_spectrum(spec: ModelSpec, phi: PiecewiseFn, n_list) -> dict:
     """Per-truncation eigenvalue clouds of phi(H) - phi(H0).
 
-    Returns clouds, the transient-filtered largest cloud, and the count of
-    eigenvalues beyond 0.1 per rung (the compactness fingerprint for
-    continuous phi).
+    Returns clouds, the accumulation set of the last two rungs
+    (accumulation_set; the one cloud for a one-rung ladder), and the count
+    of eigenvalues beyond tol.BIG_EIGENVALUE per rung (the compactness
+    fingerprint for continuous phi).
     """
     return _spectra(spec, (phi,), n_list)[0]
 
@@ -256,8 +257,8 @@ def _spectra(spec, phis, n_list):
         for c, phi in zip(clouds, phis):
             c.append(np.linalg.eigvalsh(_difference(decs, phi)))
     return tuple({"n_list": n_list, "clouds": tuple(c),
-                  "filtered": transient_filter(c[-1], c[-2]) if len(c) >= 2 else c[-1],
-                  "big_counts": tuple(int(np.sum(np.abs(x) > 0.1)) for x in c)}
+                  "accumulation": accumulation_set(c[-1], c[-2]) if len(c) >= 2 else c[-1],
+                  "big_counts": tuple(int(np.sum(np.abs(x) > tol.BIG_EIGENVALUE)) for x in c)}
                  for c in clouds)
 
 
@@ -335,7 +336,7 @@ def union_formula_check(spec: ModelSpec, phi: PiecewiseFn, n_list) -> dict:
     if len(n_list) < 2:
         raise SymbolError("need at least 2 ladder rungs")
     results = _spectra(spec, (PiecewiseFn(jumps=phi.jumps),) + pieces, n_list)
-    sum_acc, *piece_results = (accumulation_set(r["clouds"][-1], r["clouds"][-2]) for r in results)
+    sum_acc, *piece_results = (r["accumulation"] for r in results)
     union_pts = np.array(sorted(set([0.0] + [x for acc in piece_results for x in acc.tolist()])))
     sum_pts = np.concatenate([sum_acc, [0.0]]) if sum_acc.size else np.array([0.0])
     return {"distance": hausdorff(sum_pts, union_pts),

@@ -152,14 +152,14 @@ def _assemble(pair, lam, t0, err, route):
                          err_estimate=float(err), route=route)
 
 
-def _richardson(seq, order=2):
+def _richardson(seq):
     """Richardson table for a halving eps schedule; returns (value, err).
 
-    Walks the order-th column and stops where successive differences stop
+    Walks the second-order column and stops where successive differences stop
     decreasing; raises if they never decrease.
     """
     table = [np.asarray(s, dtype=complex) for s in seq]
-    for q in range(1, order + 1):
+    for q in (1, 2):
         fac = 2.0 ** q
         table = [(fac * table[i + 1] - table[i]) / (fac - 1.0) for i in range(len(table) - 1)]
     diffs = [np.linalg.norm(table[i + 1] - table[i], 2) if table[i].size else 0.0
@@ -198,7 +198,7 @@ def boundary_value(pair: OperatorPair, lam, route="auto") -> BoundaryValue:
         raise ResolventError(f"unknown route {route!r}")
     eps = [tol.RICHARDSON_EPS0 * 2.0 ** (-jj) for jj in range(tol.RICHARDSON_STEPS + 1)]
     seq = [t0_of_z(pair, lam + 1j * e, mode="truncated") for e in eps]
-    t0, err = _richardson(seq, order=2)
+    t0, err = _richardson(seq)
     return _assemble(pair, lam, t0, err, "extrapolated")
 
 

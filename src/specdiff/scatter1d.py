@@ -77,7 +77,7 @@ def smatrix_transfer(potential, lam) -> LatticeScattering:
                                  r_plus=0j, r_minus=0j, s=np.eye(2, dtype=complex))
     t_l, r_plus = _propagate(potential, lam, kappa, incoming_right=False)
     t_r, r_minus = _propagate(potential, lam, kappa, incoming_right=True)
-    if abs(t_l - t_r) > 1e-10:
+    if abs(t_l - t_r) > tol.RECIPROCITY:
         raise ScatteringError("transmission reciprocity violated")
     s = np.array([[t_l, r_minus], [r_plus, t_l]], dtype=complex)
     return LatticeScattering(lam=float(lam), kappa=kappa, t=t_l,

@@ -1,8 +1,9 @@
 """Every numerical threshold of specdiff, and the table the manifest reports.
 
 The numerical modules read these names at call time (tol.NAME), so the
-table is the policy in force.  Two are bound at import as default
-arguments: alpha.transient_filter's move_tol and hankelmodel's span.
+table is the policy in force.  One value is bound at import: GRID_SPAN as
+the default span of hankelmodel.graded_grid and gamma_matrix, which
+stretched-grid runs pass explicitly.
 """
 
 BAND_MARGIN = 0.1                 # lambda kept this far inside the lattice band (-2, 2)
@@ -19,6 +20,7 @@ RESONANCE_COND = 1e12             # cond(I + T0 J) above this is a resonance
 RICHARDSON_EPS0 = 0.1             # the extrapolated route's eps_j = RICHARDSON_EPS0 * 2^-j,
 RICHARDSON_STEPS = 10             # j = 0..RICHARDSON_STEPS
 ALPHA_CAP = 1e-6                  # alpha may exceed 1 by this much
+ALPHA_FLOOR = 1e-10               # alpha may fall below 0 by this much
 KERNEL_TOL = 1e-6                 # Fredholm: sigma_min above this means no kernel
 UNITARITY = 1e-6                  # S-tilde unitarity defect
 SCATTERING_UNITARITY = 1e-10      # transfer-matrix S unitarity defect
@@ -27,9 +29,15 @@ EPS_N_MIN = 50.0                  # projection windows: eps * N >= EPS_N_MIN
 TRANSIENT_MOVE = 0.1              # ladder clouds: farther moves between rungs are transients
 PM_ONE = 1e-6                     # eigenvalues of D this close to +-1 count as +-1
 ACCUMULATION = 0.02               # accumulation set: reproduced within this at the last rung
+FILL_BAND = 1e-12                 # fill distance: filtered cloud up to alpha_empirical + FILL_BAND
+BIG_EIGENVALUE = 0.1              # big_counts: eigenvalues of phi(H) - phi(H0) beyond this
+DIRECTION_MERGE = 1e-14           # segment union: unit directions this close are one direction
+RECIPROCITY = 1e-10               # transfer matrix: |t_left - t_right| above this raises
+CARLEMAN_HYPOTHESIS = 1e-12       # Hankel kernels: |K(t)| <= C/t + CARLEMAN_HYPOTHESIS on the grid
+CARLEMAN_BOUND = 1e-6             # the Carleman bound holds if ||K|| <= pi C + CARLEMAN_BOUND
 GRID_SPAN = 1e12                  # Hankel grids span (T / GRID_SPAN, T)
 
-__version__ = 4                   # of the table: raised whenever a key or a value changes
+__version__ = 5                   # of the table: raised whenever a key or a value changes
 
 
 def table():

@@ -62,7 +62,9 @@ def test_carleman_bound_gamma_kernel_and_linearity():
 
 
 def test_carleman_hypothesis_violation_reported():
-    with pytest.raises(HankelError):
+    nodes, _ = graded_grid(64, 50.0)
+    first = next(t for t in nodes if 5.0 / (1.0 + t) > 1.0 / t + 1e-12)
+    with pytest.raises(HankelError, match=f"violated at t={first:.3e} "):
         hankel_bound_check(lambda t: 5.0 / (1.0 + t), 1.0, 64, 50.0)
 
 
@@ -148,3 +150,63 @@ def test_opnorm2_dense_vs_iterative():
     m = rng.standard_normal((700, 650))
     assert opnorm2(m) == pytest.approx(np.linalg.norm(m, 2), rel=1e-8)
     assert opnorm2(np.zeros((0, 3))) == 0.0
+
+
+# reference formulas: the Nystrom matrix pair by pair and L0, L node by node
+
+def _bound_norm_loop(kernel, n, t_max):
+    nodes, weights = graded_grid(n, t_max)
+    root = np.sqrt(weights)
+    big = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            big[i, j] = big[j, i] = root[i] * root[j] * kernel(nodes[i] + nodes[j])
+    return opnorm2(big)
+
+
+@pytest.mark.parametrize("n, t_max", [(120, 50.0), (200, 50.0), (404, 731.5)])
+def test_bound_check_norm_equals_the_pair_loop(n, t_max):
+    for kernel in (lambda t: -np.expm1(-t) / t, lambda t: np.exp(-t)):
+        assert hankel_bound_check(kernel, 1.0, n, t_max)["norm"] == \
+            _bound_norm_loop(kernel, n, t_max)
+
+
+def test_gamma_matrix_is_symmetric_and_matches_the_symmetrised_formula():
+    for n, t_max in ((200, 50.0), (404, 731.5)):
+        disc = gamma_matrix(n, t_max)
+        assert np.array_equal(disc.matrix, disc.matrix.T)
+        root = np.sqrt(disc.weights)
+        old = gamma_kernel(disc.nodes[:, None], disc.nodes[None, :])
+        old = root[:, None] * old * root[None, :]
+        old = (old + old.T) / 2
+        assert np.max(np.abs(disc.matrix - old)) <= 1e-15
+
+
+def _l_operators_loop(pair, lam, n, t_max):
+    nodes, weights = graded_grid(n, t_max)
+    dec0 = eig(pair, "free", lam, lam + 1.0)
+    dec1 = eig(pair, "full", lam - 1.0, lam)
+    v0, v1 = dec0.eigenvectors, dec1.eigenvectors
+    mu0, mu1 = dec0.eigenvalues - lam, dec1.eigenvalues - lam
+    k = pair.k_dim
+    c0, c1 = v0.T @ pair.g.T, v1.T @ pair.g.T
+    l0 = np.empty((pair.spec.dim, n * k))
+    l1 = np.empty((pair.spec.dim, n * k))
+    for i, (t, r) in enumerate(zip(nodes, np.sqrt(weights))):
+        l0[:, i * k:(i + 1) * k] = r * (v0 @ (np.exp(-t * mu0)[:, None] * c0))
+        l1[:, i * k:(i + 1) * k] = r * (v1 @ (np.exp(t * mu1)[:, None] * c1))
+    return l0, l1
+
+
+@pytest.mark.parametrize("potential, lam, n, t_max, atol", [
+    (((0, 0.6), (1, -0.4)), 0.1, 200, 50.0, 0.0),
+    # one wide product over all nodes rounds differently from the per-node blocks here
+    (((0, -0.730385), (2, 0.869979)), -0.27838518821, 202, 196.930959, 0.0),
+    (((0, 0.5),), -0.2, 200, 50.0, 1e-15),
+])
+def test_l_operators_match_the_node_loop(potential, lam, n, t_max, atol):
+    pair = build_model(ModelSpec("lattice1d", 500, potential))
+    rec = build_l_operators(pair, lam, n, t_max)
+    l0, l1 = _l_operators_loop(pair, lam, n, t_max)
+    assert np.max(np.abs(rec["L0"] - l0)) <= atol
+    assert np.max(np.abs(rec["L"] - l1)) <= atol

@@ -9,13 +9,14 @@ import pytest
 
 import specdiff
 from specdiff import tolerances as tol
-from specdiff.alpha import fredholm_check
+from specdiff.alpha import d_spectrum_ladder, fredholm_check, transient_filter
 from specdiff.harness import ExperimentConfig, run, validate
 from specdiff.opcore import ModelSpec, build_model, select_spectrum
 from specdiff.resolvent import ResolventError, boundary_value
 
-# the table's keys and values before it had a module of its own, plus the
-# four constants that were in force but missing from it
+# the table's keys and values before it had a module of its own, the four
+# constants that were in force but missing from it, and the seven thresholds
+# that were inline literals
 TABLE = {
     "band_margin": 0.1, "spectral_point_ulps": 32, "psd_floor": 1e-10,
     "inversion_identity": 1e-9, "resonance_cond": 1e12, "alpha_cap": 1e-6,
@@ -23,6 +24,8 @@ TABLE = {
     "stationary_z_normalization": 1e-9, "eps_n_min": 50.0, "transient_move": 0.1,
     "pm_one": 1e-6, "accumulation": 0.02,
     "symmetry": 1e-10, "grid_span": 1e12, "richardson_eps0": 0.1, "richardson_steps": 10,
+    "alpha_floor": 1e-10, "fill_band": 1e-12, "big_eigenvalue": 0.1, "direction_merge": 1e-14,
+    "reciprocity": 1e-10, "carleman_hypothesis": 1e-12, "carleman_bound": 1e-6,
 }
 
 
@@ -78,3 +81,14 @@ def test_opcore_reads_the_spectral_point_rule(monkeypatch):
     assert select_spectrum(w, hi=0.0).tolist() == [True, False, False]
     monkeypatch.setattr(tol, "SPECTRAL_POINT_ULPS", 0)
     assert select_spectrum(w, hi=0.0).tolist() == [True, True, False]
+
+
+def test_ladder_reads_the_transient_move(monkeypatch):
+    spec = ModelSpec("lattice1d", 20, ((0, 1.0),))
+    est = d_spectrum_ladder(spec, 0.3, (20, 30, 40))
+    assert np.array_equal(est.filtered_cloud, np.sort(est.eigenvalue_clouds[-1]))
+    monkeypatch.setattr(tol, "TRANSIENT_MOVE", 1e-3)
+    moved = d_spectrum_ladder(spec, 0.3, (20, 30, 40))
+    clouds = moved.eigenvalue_clouds
+    assert moved.filtered_cloud.size < est.filtered_cloud.size
+    assert np.array_equal(moved.filtered_cloud, transient_filter(clouds[-1], clouds[-2], 1e-3))
