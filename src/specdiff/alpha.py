@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tolerances as tol
-from .opcore import (ModelSpec, OperatorPair, build_model, eig, eigendecompose_pair,
+from .opcore import (ModelSpec, OperatorPair, build_model, eig, eigendecompose_pair, in_band,
                      projection_difference, select_spectrum, spectral_block)
 from .resolvent import BoundaryValue
 
@@ -126,7 +126,7 @@ def alpha_proj_limit(pair: OperatorPair, lam, eps_schedule) -> AlphaEstimate:
         if e * n < tol.EPS_N_MIN:
             raise AlphaError(f"eps*N = {e * n:.1f} < {tol.EPS_N_MIN}: window too narrow "
                              "for the truncation")
-    if pair.spec.kind == "lattice1d" and abs(lam) > 2.0 - tol.BAND_MARGIN:
+    if pair.spec.kind == "lattice1d" and not in_band(lam):
         raise AlphaError(f"lambda={lam} within band_margin of the band edge")
     if pair.k_dim == 0:
         diag = [(e, 0.0) for e in eps_schedule]

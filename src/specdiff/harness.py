@@ -21,7 +21,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .alpha import alpha_derivative, alpha_smatrix, d_spectrum_ladders, fredholm_check
-from .opcore import ModelSpec, build_model
+from .opcore import ModelSpec, build_model, in_band
 from .pcfunc import PiecewiseFn, empirical_spectrum, hausdorff, predicted_ess_spectrum
 from .resolvent import boundary_value
 from .scatter1d import smatrix_stationary, smatrix_transfer
@@ -127,10 +127,9 @@ def validate(config: ExperimentConfig):
     structural checks that would stop a run.
     """
     diags = _fatal_diagnostics(config)
-    for lam in config.lambda_grid:
-        if config.model.kind == "lattice1d" and abs(lam) > 2.0 - tol.BAND_MARGIN \
-                and config.kind != "d_ladder":
-            diags.append(f"lambda={lam} within band_margin of the spectral edge")
+    if config.model.kind == "lattice1d" and config.kind != "d_ladder":
+        diags += [f"lambda={lam} within band_margin of the spectral edge"
+                  for lam in config.lambda_grid if not in_band(lam)]
     return diags
 
 
@@ -268,20 +267,17 @@ def _run_phi_check(config, emit, record):
 
 
 def _run_hankel_suite(config, emit, record):
-    from .hankelmodel import build_l_operators, gamma_matrix, hankel_bound_check
+    from .hankelmodel import build_l_operators, gamma_kernel, hankel_bound_check
     n, t = config.hankel_n, config.hankel_t
-    gamma = gamma_matrix(n, t)
-    eigs = np.linalg.eigvalsh(gamma.matrix)
+    carleman = hankel_bound_check(lambda x: gamma_kernel(x, 0.0), 1.0, n, t)
+    eigs = np.linalg.eigvalsh(carleman["discretization"].matrix)
     emit.write("gamma_spectrum.csv",
                _csv(("n", "T", "index", "eigenvalue"),
                     [(n, float(t), i, float(w)) for i, w in enumerate(eigs)]))
-    carleman = hankel_bound_check(lambda tt: -np.expm1(-tt) / tt, 1.0, n, t)
     out = {"gamma_max": float(eigs.max()), "gamma_min": float(eigs.min()),
            "carleman_norm": carleman["norm"], "carleman_ok": carleman["bound_ok"]}
     if config.model.potential and config.lambda_grid:
-        pair = build_model(config.model)
-        lam = config.lambda_grid[0]
-        rec = build_l_operators(pair, lam, n, t)
+        rec = build_l_operators(build_model(config.model), config.lambda_grid[0], n, t)
         out["residual_b16"] = rec["residual_b16"]
     emit.write("hankel_suite.json", json.dumps(out, indent=2, sort_keys=True))
     record.results.update(out)

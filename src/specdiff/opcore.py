@@ -2,16 +2,16 @@
 
 Builds the finite truncations of the perturbed/unperturbed pair (H0, H), H0
 stored as its bands, with the factorization V = G^T J G, and provides the one
-eigensolver of a pair (eig), spectral projections E(-inf, lambda) and
-functions of operators phi(H).  Its two thresholds, the symmetry check of
-eigendecompose and the on-point rule's SPECTRAL_POINT_ULPS, are read from
-specdiff.tolerances.
+eigensolver of a pair (eig), the one band rule (in_band), the one
+singular-value routine (leading_singvals), spectral projections and functions
+of operators phi(H).  Its thresholds are read from specdiff.tolerances.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -196,6 +196,16 @@ def build_model(spec: ModelSpec) -> OperatorPair:
     return OperatorPair(h0=h0, v=v, g=g, j=j, spec=spec)
 
 
+def in_band(lam) -> bool:
+    """|lambda| < 2 - tol.BAND_MARGIN: inside the band (-2, 2) of H0, where S(lambda) exists."""
+    return abs(lam) < 2.0 - tol.BAND_MARGIN
+
+
+def near_band_edge(lam) -> bool:
+    """Whether a real lambda lies within tol.BAND_MARGIN of a band edge +-2, on either side."""
+    return not in_band(lam) and abs(lam) <= 2.0 + tol.BAND_MARGIN
+
+
 def is_tridiagonal(pair: OperatorPair) -> bool:
     return pair.spec.kind in ("lattice1d", "jacobi")
 
@@ -313,3 +323,24 @@ def apply_function(dec: SpectralDecomposition, phi) -> np.ndarray:
     if np.iscomplexobj(vals):
         return (vecs * vals) @ vecs.T.astype(complex)
     return (vecs * vals) @ vecs.T
+
+
+def leading_singvals(*factors, count=1) -> np.ndarray:
+    """The count largest singular values of the product of factors, descending (0 past its size).
+
+    Dense if its shorter side is at most max(600, 3 * count), else ARPACK from equal entries,
+    with several factors applied in turn by a LinearOperator: their product is never formed.
+    """
+    from scipy.sparse.linalg import LinearOperator, svds   # looked up at call time
+
+    shape = (factors[0].shape[0], factors[-1].shape[1])
+    if min(shape) <= max(600, 3 * count):
+        s = np.linalg.svd(reduce(np.matmul, factors), compute_uv=False)[:count]
+    else:
+        op = factors[0] if len(factors) == 1 else LinearOperator(
+            shape, matvec=lambda x: reduce(lambda y, f: f @ y, factors[::-1], x),
+            rmatvec=lambda x: reduce(lambda y, f: f.conj().T @ y, factors, x),
+            dtype=np.result_type(*factors))
+        s = np.sort(svds(op, k=count, v0=np.full(shape[1], 1.0 / np.sqrt(shape[1])),
+                         return_singular_vectors=False))[::-1]
+    return np.concatenate([s, np.zeros(count - s.size)])

@@ -14,13 +14,12 @@ from dataclasses import dataclass, replace
 import json
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, svds
 
 from . import tolerances as tol
 from .alpha import nearest_distances, transient_filter
 from .opcore import (ModelSpec, OperatorPair, apply_function, build_model,
-                     eigendecompose_pair, projection_difference, snap_to_points,
-                     spectral_block)
+                     eigendecompose_pair, in_band, leading_singvals, projection_difference,
+                     snap_to_points, spectral_block)
 
 _BACKGROUNDS = ("zero", "gaussian_bump", "arctan_step_smoothed")
 
@@ -189,7 +188,7 @@ def predicted_ess_spectrum(phi: PiecewiseFn, alpha_fn) -> SegmentUnion:
     """
     endpoints = []
     for loc in phi.singsupp():
-        if abs(loc) > 2.0 - tol.BAND_MARGIN:
+        if not in_band(loc):
             raise SymbolError(f"jump at {loc} outside the valid spectral window")
         a = float(alpha_fn(loc))
         endpoints.append(a * phi.kappa(loc))
@@ -282,14 +281,6 @@ def hausdorff(a, b):
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
-def _leading_singvals(m, count):
-    if min(m.shape) <= max(3 * count, 60):
-        return np.linalg.svd(m, compute_uv=False)[:count]
-    s = svds(m, k=count, v0=np.full(m.shape[1], 1.0 / np.sqrt(m.shape[1])),
-             return_singular_vectors=False)
-    return np.sort(s)[::-1]
-
-
 def cross_term_compactness(spec: ModelSpec, phi1: PiecewiseFn, phi2: PiecewiseFn,
                            n_list, sv_index=20) -> dict:
     """Decay of the cross term phi-difference product along a truncation ladder.
@@ -297,7 +288,7 @@ def cross_term_compactness(spec: ModelSpec, phi1: PiecewiseFn, phi2: PiecewiseFn
     When the two symbols jump at disjoint locations the product of the two
     differences is compact, so its sv_index-th singular value must decay as
     the truncation grows; the report carries the per-rung leading singular
-    values and the decay verdict.
+    values and the decay verdict.  sv_index lies in 1..the smallest rung's dim.
     """
     overlap = set(phi1.singsupp()) & set(phi2.singsupp())
     if overlap:
@@ -305,16 +296,12 @@ def cross_term_compactness(spec: ModelSpec, phi1: PiecewiseFn, phi2: PiecewiseFn
     n_list = tuple(int(n) for n in n_list)
     if len(n_list) < 2:
         raise SymbolError("need at least 2 ladder rungs")
-    rows = []
-    for n in n_list:
-        decs = eigendecompose_pair(build_model(replace(spec, n_half=n)))
-        d1, d2 = _difference(decs, phi1), _difference(decs, phi2)
-        dim = d1.shape[0]
-        op = LinearOperator((dim, dim),
-                            matvec=lambda x, a=d1, b=d2: a @ (b @ x),
-                            rmatvec=lambda x, a=d1, b=d2: b.T @ (a.T @ x))
-        sv = _leading_singvals(op if dim > 400 else d1 @ d2, sv_index + 3)
-        rows.append(np.asarray(sv))
+    dim = replace(spec, n_half=min(n_list)).dim
+    if list(n_list) != sorted(n_list) or not 1 <= sv_index <= dim:
+        raise SymbolError(f"n_list={n_list} must ascend and sv_index={sv_index} lie in 1..{dim}")
+    decs = (eigendecompose_pair(build_model(replace(spec, n_half=n))) for n in n_list)
+    rows = [leading_singvals(_difference(d, phi1), _difference(d, phi2), count=sv_index + 3)
+            for d in decs]
     tracked = [float(r[sv_index - 1]) for r in rows]
     return {"n_list": n_list, "singular_values": tuple(rows),
             "tracked_index": sv_index, "tracked_values": tuple(tracked),

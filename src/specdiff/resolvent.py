@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from . import tolerances as tol
-from .opcore import OperatorPair, eig
+from .opcore import OperatorPair, eig, in_band, leading_singvals, near_band_edge
 
 
 class ResolventError(ValueError):
@@ -94,7 +94,7 @@ def t0_of_z(pair: OperatorPair, z, mode="truncated") -> np.ndarray:
             raise ResolventError("infinite_lattice mode requires a lattice1d pair")
         if z.imag < 0:
             raise ResolventError("infinite_lattice mode needs Im z >= 0")
-        if z.imag == 0 and 2.0 - tol.BAND_MARGIN <= abs(z.real) <= 2.0 + tol.BAND_MARGIN:
+        if z.imag == 0 and near_band_edge(z.real):
             raise ResolventError(f"z = {z} too close to the band edge")
         if k == 0:
             return np.zeros((0, 0), dtype=complex)
@@ -190,7 +190,7 @@ def boundary_value(pair: OperatorPair, lam, route="auto") -> BoundaryValue:
     if route == "closed_form":
         if pair.spec.kind != "lattice1d":
             raise ResolventError("closed_form route requires lattice1d")
-        if abs(lam) > 2.0 - tol.BAND_MARGIN:
+        if not in_band(lam):
             raise ResolventError(f"lambda={lam} within band_margin of the band edge")
         t0 = t0_of_z(pair, complex(lam), mode="infinite_lattice")
         return _assemble(pair, lam, t0, 0.0, "closed_form")
@@ -211,14 +211,11 @@ def stone_consistency(pair: OperatorPair, a, b, grid) -> float:
     """
     if grid < 8:
         raise ResolventError("grid must be >= 8")
-    if not (-2.0 + tol.BAND_MARGIN <= a < b <= 2.0 - tol.BAND_MARGIN):
+    if not (in_band(a) and in_band(b) and a < b):
         raise ResolventError("[a, b] must sit inside the band, away from edges")
-    if pair.k_dim == 0:
-        return 0.0
     lams = np.linspace(a, b, grid)
     vals = np.array([t0_of_z(pair, complex(x), mode="infinite_lattice").imag for x in lams])
     quad = np.trapezoid(vals, lams, axis=0) / np.pi
 
     gv = pair.g @ eig(pair, "free", a, b, closed="left").eigenvectors
-    f0_diff = gv @ gv.T
-    return float(np.linalg.norm(quad - f0_diff, 2))
+    return float(leading_singvals(quad - gv @ gv.T)[0])

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .opcore import OperatorPair
+from .opcore import OperatorPair, in_band
 from .resolvent import BoundaryValue
 
 
@@ -68,7 +68,7 @@ def _propagate(potential, lam, kappa, incoming_right):
 
 def smatrix_transfer(potential, lam) -> LatticeScattering:
     """Transfer-matrix S(lambda) for a compactly supported lattice potential."""
-    if abs(lam) > 2.0 - tol.BAND_MARGIN:
+    if not in_band(lam):
         raise ScatteringError(f"lambda={lam} too close to the band edge")
     kappa = float(np.arccos(lam / 2.0))
     potential = [(int(s), float(v)) for s, v in potential if float(v) != 0.0]

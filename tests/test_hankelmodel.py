@@ -5,8 +5,8 @@ import pytest
 
 from specdiff.hankelmodel import (HankelError, build_l_operators, gamma_kernel,
                                   gamma_matrix, gamma_tensor_spectrum,
-                                  graded_grid, hankel_bound_check, opnorm2)
-from specdiff.opcore import ModelSpec, build_model, eig
+                                  graded_grid, hankel_bound_check)
+from specdiff.opcore import ModelSpec, build_model, eig, leading_singvals
 from specdiff.resolvent import boundary_value
 
 
@@ -148,8 +148,8 @@ def test_kernel_time_decay_after_density_subtraction():
 def test_opnorm2_dense_vs_iterative():
     rng = np.random.default_rng(5)
     m = rng.standard_normal((700, 650))
-    assert opnorm2(m) == pytest.approx(np.linalg.norm(m, 2), rel=1e-8)
-    assert opnorm2(np.zeros((0, 3))) == 0.0
+    assert leading_singvals(m)[0] == pytest.approx(np.linalg.norm(m, 2), rel=1e-8)
+    assert leading_singvals(np.zeros((0, 3)))[0] == 0.0
 
 
 # reference formulas: the Nystrom matrix pair by pair and L0, L node by node
@@ -161,7 +161,7 @@ def _bound_norm_loop(kernel, n, t_max):
     for i in range(n):
         for j in range(i, n):
             big[i, j] = big[j, i] = root[i] * root[j] * kernel(nodes[i] + nodes[j])
-    return opnorm2(big)
+    return leading_singvals(big)[0]
 
 
 @pytest.mark.parametrize("n, t_max", [(120, 50.0), (200, 50.0), (404, 731.5)])
@@ -180,6 +180,8 @@ def test_gamma_matrix_is_symmetric_and_matches_the_symmetrised_formula():
         old = root[:, None] * old * root[None, :]
         old = (old + old.T) / 2
         assert np.max(np.abs(disc.matrix - old)) <= 1e-15
+        check = hankel_bound_check(lambda x: gamma_kernel(x, 0.0), 1.0, n, t_max)
+        assert np.array_equal(check["discretization"].matrix, disc.matrix)
 
 
 def _l_operators_loop(pair, lam, n, t_max):

@@ -1,15 +1,19 @@
 """Model construction, factorization, spectral calculus."""
 
+import json
+
 import numpy as np
 import pytest
 
 from specdiff import opcore
-from specdiff.alpha import d_spectrum_ladders
+from specdiff.alpha import AlphaError, alpha_proj_limit, d_spectrum_ladders
 from specdiff.hankelmodel import build_l_operators
+from specdiff.harness import ExperimentConfig, run, validate
 from specdiff.opcore import (ModelError, ModelSpec, OperatorPair, apply_function, build_model,
                              eig, eigendecompose, spectral_projection)
-from specdiff.pcfunc import PiecewiseFn, symbol_difference
-from specdiff.resolvent import t0_of_z
+from specdiff.pcfunc import PiecewiseFn, SymbolError, predicted_ess_spectrum, symbol_difference
+from specdiff.resolvent import ResolventError, boundary_value, stone_consistency, t0_of_z
+from specdiff.scatter1d import ScatteringError, smatrix_transfer
 
 
 def test_free_model_is_bare_hopping():
@@ -206,3 +210,38 @@ def test_kernel_equality_probe():
     w1 = np.linalg.eigvalsh(pair.dense("full"))
     assert np.sum(np.abs(w0) <= 1e-8) == 1
     assert np.sum(np.abs(w1) <= 1e-8) == 1
+
+
+def test_every_site_applies_one_band_rule(tmp_path):
+    # |lambda| < 2 - BAND_MARGIN = 1.9 is in band, at every site and on both sides of 1.9
+    pair = build_model(ModelSpec("lattice1d", 50, ((0, 0.5),)))
+    sites = {
+        "alpha_proj_limit": lambda lam: alpha_proj_limit(pair, lam, (1.0,)),
+        "smatrix_transfer": lambda lam: smatrix_transfer(pair.spec.potential, lam),
+        "predicted_ess_spectrum": lambda lam: predicted_ess_spectrum(
+            PiecewiseFn(jumps=((lam, 0.0, 1.0),)), lambda x: 0.5),
+        "t0_of_z": lambda lam: t0_of_z(pair, lam, mode="infinite_lattice"),
+        "boundary_value": lambda lam: boundary_value(pair, lam),
+        "stone_consistency": lambda lam: stone_consistency(pair, min(lam, 0.0), max(lam, 0.0), 16),
+    }
+
+    def accepts(site, lam):
+        try:
+            site(lam)
+        except (AlphaError, ScatteringError, SymbolError, ResolventError):
+            return False
+        return True
+
+    edge = (np.nextafter(1.9, 0.0), 1.9, np.nextafter(1.9, 2.0))
+    lams = [float(s * x) for s in (-1.0, 1.0) for x in edge]
+    for lam in lams:
+        verdicts = {name: accepts(site, lam) for name, site in sites.items()}
+        assert set(verdicts.values()) == {abs(lam) < 1.9}, (lam, verdicts)
+    rejected = [lam for lam in lams if abs(lam) >= 1.9]
+    doc = {"kind": "alpha_sweep", "model": json.loads(pair.spec.to_json()),
+           "lambda_grid": lams, "output_dir": str(tmp_path / "out")}
+    cfg = ExperimentConfig.from_json(json.dumps(doc))
+    assert validate(cfg) == [f"lambda={lam} within band_margin of the spectral edge"
+                             for lam in rejected]
+    errors = run(cfg).errors
+    assert [(e["lambda"], e["type"]) for e in errors] == [(lam, "ResolventError") for lam in rejected]

@@ -159,6 +159,29 @@ def test_cross_term_disjoint_vs_control():
         cross_term_compactness(SPEC, phi1, phi1, (250, 500))
 
 
+@pytest.mark.parametrize("n_list, sv_index", [((200, 100), 5), ((10, 20), 0), ((10, 20), 30)],
+                         ids=("descending", "index_zero", "index_past_the_dimension"))
+def test_cross_term_rejects_a_bad_ladder_or_index(n_list, sv_index):
+    # a descending ladder, an index below 1, an index past the smallest rung's dimension (21)
+    phi1 = PiecewiseFn(jumps=((-0.5, 0.0, 1.0),))
+    phi2 = PiecewiseFn(jumps=((0.5, 0.0, 0.5),))
+    with pytest.raises(SymbolError):
+        cross_term_compactness(SPEC, phi1, phi2, n_list, sv_index=sv_index)
+
+
+def test_cross_term_far_index_on_both_singular_value_routes():
+    # the 401 rung is decomposed densely, the 801 rung by ARPACK on the unformed product
+    phi1 = PiecewiseFn(jumps=((-0.5, 0.0, 1.0),))
+    phi2 = PiecewiseFn(jumps=((0.5, 0.0, 0.5),))
+    spec = ModelSpec("lattice1d", 200, ((0, 1.0),))
+    rep = cross_term_compactness(spec, phi1, phi2, (200, 400), sv_index=140)
+    assert [r.size for r in rep["singular_values"]] == [143, 143]
+    pair = build_model(ModelSpec("lattice1d", 400, ((0, 1.0),)))
+    dense = np.linalg.svd(symbol_difference(pair, phi1) @ symbol_difference(pair, phi2),
+                          compute_uv=False)[:143]
+    assert np.max(np.abs(rep["singular_values"][1] - dense)) <= 1e-12
+
+
 def test_cross_term_continuous_partner_small():
     phi1 = PiecewiseFn(jumps=((-0.5, 0.0, 1.0),))
     smooth = PiecewiseFn(background="gaussian_bump", background_params=(1.0, 0.0, 1.0))

@@ -1,6 +1,8 @@
 """One tolerance module: the only numeric constants, read at call time."""
 
+import ast
 import importlib
+import inspect
 import json
 import pkgutil
 
@@ -44,6 +46,24 @@ def test_only_the_tolerance_module_binds_numeric_constants():
     names = _numeric_constants(tol)
     assert sorted(tol.table()) == sorted(name.lower() for name in names)
     assert tol.table() == TABLE
+
+
+def test_only_opcore_reads_the_band_margin_and_calls_arpack():
+    # the band rule (opcore.in_band) and the singular-value route (opcore.leading_singvals)
+    for info in pkgutil.iter_modules(specdiff.__path__):
+        module = importlib.import_module(f"specdiff.{info.name}")
+        tree = ast.parse(inspect.getsource(module))
+        reads = [node for node in ast.walk(tree)
+                 if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+                 and getattr(node, "id", getattr(node, "attr", None)) == "BAND_MARGIN"]
+        imports = [node for node in ast.walk(tree)
+                   if (isinstance(node, ast.ImportFrom) and node.module == "scipy.sparse.linalg")
+                   or (isinstance(node, ast.Import)
+                       and any(alias.name.startswith("scipy.sparse") for alias in node.names))]
+        if info.name == "opcore":
+            assert reads and imports
+        else:
+            assert not reads and not imports, info.name
 
 
 def _pair():
