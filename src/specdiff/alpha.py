@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tolerances as tol
-from .opcore import (ModelSpec, OperatorPair, build_model, eig, eigendecompose_pair, in_band,
-                     projection_difference, select_spectrum, spectral_block)
+from .opcore import (ModelSpec, OperatorPair, build_model, difference_spectrum, eig,
+                     eigendecompose_pair, in_band, select_spectrum, spectral_block)
 from .resolvent import BoundaryValue
 
 
@@ -215,10 +215,11 @@ def transient_filter(cloud, prev_cloud, move_tol=None):
 def d_spectrum_ladders(spec: ModelSpec, lams, n_list) -> tuple:
     """d_spectrum_ladder for every lambda in lams, one EssSpectrumEstimate each.
 
-    Each rung is built and decomposed once (opcore.eigendecompose_pair); the
-    blocks of every lambda are prefix views of those eigenvectors, first
-    trimmed to the prefix below max(lams) in Fortran order, the solver's
-    layout, so that they match pcfunc.symbol_difference's views bit for bit.
+    Each rung is built and decomposed once (opcore.eigendecompose_pair: H0
+    in closed form, one solve of H).  The cloud of every lambda comes from
+    opcore.difference_spectrum, the singular values of two cross blocks of
+    the eigenvectors, which pcfunc's single-jump ladders share; the D^2
+    residual acts through the prefix views of the eigenvectors below lambda.
     """
     return _ladders(spec, lams, n_list)
 
@@ -240,15 +241,12 @@ def _ladders(spec, lams, n_list):
         raise AlphaError("n_list must be ascending with at least 3 entries")
     clouds = [[] for _ in lams]
     residuals = [[] for _ in lams]
-    top = max(lams, default=-np.inf)
     for n in n_list:
-        trimmed = [(dec.eigenvalues,
-                    spectral_block(dec.eigenvalues, dec.eigenvectors, top).copy(order="F"))
-                   for dec in eigendecompose_pair(build_model(replace(spec, n_half=n)))]
+        decs = eigendecompose_pair(build_model(replace(spec, n_half=n)))
         for i, lam in enumerate(lams):
-            v0n, v1n = (spectral_block(w, vecs, lam) for w, vecs in trimmed)
-            residuals[i].append(_b4_residual_norm(v0n, v1n))
-            clouds[i].append(np.linalg.eigvalsh(projection_difference(v0n, v1n)))
+            residuals[i].append(_b4_residual_norm(
+                *(spectral_block(dec.eigenvalues, dec.eigenvectors, lam) for dec in decs)))
+            clouds[i].append(difference_spectrum(*decs, lam))
     return tuple(_ess_estimate(lam, n_list, c, r) for lam, c, r in zip(lams, clouds, residuals))
 
 

@@ -2,9 +2,12 @@
 
 Builds the finite truncations of the perturbed/unperturbed pair (H0, H), H0
 stored as its bands, with the factorization V = G^T J G, and provides the one
-eigensolver of a pair (eig), the one band rule (in_band), the one
-singular-value routine (leading_singvals), spectral projections and functions
-of operators phi(H).  Its thresholds are read from specdiff.tolerances.
+eigensolver of a pair (eig, which takes H0's eigenpairs in closed form from
+hopping_eigenpairs and solves only H), the one band rule (in_band), the one
+singular-value routine (leading_singvals), spectral projections, the spectrum
+of a projection difference from two cross blocks (difference_spectrum) and
+functions of operators phi(H).  Its thresholds are read from
+specdiff.tolerances.
 """
 
 from __future__ import annotations
@@ -219,25 +222,49 @@ def eigendecompose(m: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=w, eigenvectors=vecs)
 
 
+def hopping_eigenpairs(n: int) -> SpectralDecomposition:
+    """Closed-form eigenpairs of the n-site hopping chain H0 (Dirichlet ends), ascending.
+
+    With m = n + 1 the eigenvalues are 2 cos(pi k / m) and the eigenvectors
+    sqrt(2/m) sin(pi k x / m), x = 1..n.  Both are evaluated as sines of
+    arguments in [0, pi/2] (k x reduced mod 2m in integers first), so exact
+    zeros come out as 0 and eigenvalues in +- pairs are exact negatives.  The
+    eigenvectors are Fortran-ordered, like a LAPACK solve's, so that prefix
+    blocks V[:, :k] are contiguous.
+    """
+    m = n + 1
+    r = np.arange(m)
+    half = np.sqrt(2.0 / m) * np.sin(np.pi * np.minimum(r, m - r) / m)
+    table = np.concatenate([half, -half])                           # sin(pi r / m), r < 2m
+    k = np.arange(n, 0, -1)
+    w = 2.0 * np.sin(np.pi * (m - 2 * k) / (2 * m))                 # 2 cos(pi k / m)
+    x = np.arange(1, n + 1)
+    rows = np.empty((n, n))
+    for start in range(0, n, 256):                                  # bounded integer scratch
+        rows[start:start + 256] = table[np.outer(k[start:start + 256], x) % (2 * m)]
+    return SpectralDecomposition(eigenvalues=w, eigenvectors=rows.T)
+
+
 def eig(pair: OperatorPair, which: str, lo=-np.inf, hi=np.inf,
         closed="neither") -> SpectralDecomposition:
     """Eigenpairs of H0 (which='free') or H ('full') between lo and hi (select_spectrum).
 
-    The one eigensolver of a model pair.  Every solve is whole: tridiagonal
-    models by eigh_tridiagonal on the bands of H0 plus the diagonal of V, so
-    no dense matrix is formed, dense models by eigendecompose of
-    pair.dense(which).  A window is then cut by select_spectrum at the whole
-    spectrum's scale; the whole spectrum (the default) is returned unselected.
+    The one eigensolver of a model pair.  H0 is the hopping chain for every
+    kind, so its eigenpairs come in closed form (hopping_eigenpairs), as do
+    H's when V = 0.  Every solve of H is whole: tridiagonal models by
+    eigh_tridiagonal on the bands of H0 plus the diagonal of V, so no dense
+    matrix is formed, dense models by eigendecompose of pair.dense('full').
+    A window is then cut by select_spectrum at the whole spectrum's scale;
+    the whole spectrum (the default) is returned unselected.
     """
     from scipy import linalg            # looked up at call time, so it can be swapped
 
     if which not in ("free", "full"):
         raise ModelError(f"unknown operator {which!r}")
-    if is_tridiagonal(pair):
-        d, e = pair.h0[0], pair.h0[1, :-1]
-        if which == "full":
-            d = d + pair.v
-        w, vecs = linalg.eigh_tridiagonal(d, e)
+    if which == "free" or not pair.v.any():
+        dec = hopping_eigenpairs(pair.h0.shape[1])
+    elif is_tridiagonal(pair):
+        w, vecs = linalg.eigh_tridiagonal(pair.h0[0] + pair.v, pair.h0[1, :-1])
         dec = SpectralDecomposition(eigenvalues=w, eigenvectors=vecs)
     else:
         dec = eigendecompose(pair.dense(which))
@@ -248,8 +275,9 @@ def eig(pair: OperatorPair, which: str, lo=-np.inf, hi=np.inf,
 
 
 def eigendecompose_pair(pair: OperatorPair):
-    """(H0, H) decompositions of the whole spectra, eig(pair, 'free') and eig(pair, 'full')."""
-    return eig(pair, "free"), eig(pair, "full")
+    """(H0, H) decompositions of the whole spectra; one object for both when V = 0."""
+    free = eig(pair, "free")
+    return free, (free if not pair.v.any() else eig(pair, "full"))
 
 
 def spectral_point_tol(scale: float) -> float:
@@ -289,9 +317,14 @@ def select_spectrum(w, lo=-np.inf, hi=np.inf, closed="neither") -> np.ndarray:
     return left & right
 
 
+def _count_below(w, hi, closed="neither") -> int:
+    # size of the prefix of the ascending whole spectrum w below hi (select_spectrum)
+    return int(np.count_nonzero(select_spectrum(w, hi=hi, closed=closed)))
+
+
 def spectral_block(w, vecs, hi, closed="neither") -> np.ndarray:
     """Prefix view vecs[:, :k] of the eigenvectors for ascending w below hi (select_spectrum)."""
-    return vecs[:, :int(np.count_nonzero(select_spectrum(w, hi=hi, closed=closed)))]
+    return vecs[:, :_count_below(w, hi, closed)]
 
 
 def projection_difference(b0: np.ndarray, b1: np.ndarray) -> np.ndarray:
@@ -299,6 +332,27 @@ def projection_difference(b0: np.ndarray, b1: np.ndarray) -> np.ndarray:
     d = b1 @ b1.T
     d -= b0 @ b0.T
     return d
+
+
+def difference_spectrum(dec0: SpectralDecomposition, dec1: SpectralDecomposition, hi,
+                        closed="neither") -> np.ndarray:
+    """Ascending eigenvalues of E1(-inf, hi) - E0(-inf, hi), both of size n, without forming it.
+
+    With Phi, Psi the eigenvectors of dec0, dec1 and k0, k1 the eigenvalue
+    counts below hi (select_spectrum), the two projections split R^n into
+    principal angles (Halmos' two subspaces): the spectrum is
+    +sigma(Phi[:, k0:]^T Psi[:, :k1]) and -sigma(Phi[:, :k0]^T Psi[:, k1:]),
+    padded with zeros to n.  The +-1 eigenvalues are singular values too,
+    measured rather than set from k1 - k0; a hi below or above both spectra
+    gives empty blocks, and one decomposition for both (V = 0) gives exact zeros.
+    """
+    phi, psi = dec0.eigenvectors, dec1.eigenvectors
+    if dec0 is dec1:
+        return np.zeros(phi.shape[0])
+    k0, k1 = (_count_below(dec.eigenvalues, hi, closed) for dec in (dec0, dec1))
+    plus = np.linalg.svd(phi[:, k0:].T @ psi[:, :k1], compute_uv=False)
+    minus = np.linalg.svd(phi[:, :k0].T @ psi[:, k1:], compute_uv=False)
+    return np.concatenate([-minus, np.zeros(phi.shape[0] - plus.size - minus.size), plus[::-1]])
 
 
 def spectral_projection(dec: SpectralDecomposition, lam: float) -> np.ndarray:

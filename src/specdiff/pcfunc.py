@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .alpha import nearest_distances, transient_filter
-from .opcore import (ModelSpec, OperatorPair, apply_function, build_model,
+from .opcore import (ModelSpec, OperatorPair, apply_function, build_model, difference_spectrum,
                      eigendecompose_pair, in_band, leading_singvals, projection_difference,
                      snap_to_points, spectral_block)
 
@@ -202,9 +202,10 @@ def symbol_difference(pair: OperatorPair, phi: PiecewiseFn) -> np.ndarray:
     * ||M||) of a jump location counts as equal to it and so takes the
     left limit, whichever sign its roundoff has (opcore.select_spectrum).
     Pure step symbols reduce to differences of eigenvector-block projections
-    onto the eigenvalues at most the jump location, which keeps this route
-    bit-identical with the projection-difference ladder when the jump
-    location misses both spectra.
+    onto the eigenvalues at most the jump location.  The ladders
+    (empirical_spectrum) take a single step's cloud from
+    opcore.difference_spectrum instead, as d_spectrum_ladder does, and form
+    no n x n matrix for it.
     """
     return _difference(eigendecompose_pair(pair), phi)
 
@@ -254,11 +255,19 @@ def _spectra(spec, phis, n_list):
     for n in n_list:
         decs = eigendecompose_pair(build_model(replace(spec, n_half=n)))
         for c, phi in zip(clouds, phis):
-            c.append(np.linalg.eigvalsh(_difference(decs, phi)))
+            c.append(_cloud(decs, phi))
     return tuple({"n_list": n_list, "clouds": tuple(c),
                   "accumulation": accumulation_set(c[-1], c[-2]) if len(c) >= 2 else c[-1],
                   "big_counts": tuple(int(np.sum(np.abs(x) > tol.BIG_EIGENVALUE)) for x in c)}
                  for c in clouds)
+
+
+def _cloud(decs, phi):
+    # ascending eigenvalues of phi(H) - phi(H0); one step is -kappa (E(-inf, loc] - E0(-inf, loc])
+    if phi.background == "zero" and len(phi.jumps) == 1:
+        loc, lo, hi = phi.jumps[0]
+        return np.sort(-(hi - lo).real * difference_spectrum(*decs, loc, closed="right"))
+    return np.linalg.eigvalsh(_difference(decs, phi))
 
 
 def accumulation_set(cloud, prev_cloud):

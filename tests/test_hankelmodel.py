@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from specdiff.hankelmodel import (HankelError, build_l_operators, gamma_kernel,
                                   gamma_matrix, gamma_tensor_spectrum,
@@ -145,10 +146,21 @@ def test_kernel_time_decay_after_density_subtraction():
     assert devs[4000] < devs[1000]
 
 
-def test_opnorm2_dense_vs_iterative():
+def test_leading_singvals_dense_vs_iterative(monkeypatch):
+    real, arpack = scipy.sparse.linalg.svds, []
+    monkeypatch.setattr(scipy.sparse.linalg, "svds",
+                        lambda *args, **kwargs: arpack.append(1) or real(*args, **kwargs))
     rng = np.random.default_rng(5)
-    m = rng.standard_normal((700, 650))
-    assert leading_singvals(m)[0] == pytest.approx(np.linalg.norm(m, 2), rel=1e-8)
+    # shorter side 650 > 600 takes ARPACK, 500 the dense SVD
+    for shape in ((700, 650), (700, 500)):
+        m = rng.standard_normal(shape)
+        assert leading_singvals(m)[0] == pytest.approx(np.linalg.norm(m, 2), rel=1e-8)
+    # a product of two factors: on the ARPACK route applied in turn, never formed
+    for inner in (650, 500):
+        a, b = rng.standard_normal((700, 680)), rng.standard_normal((680, inner))
+        ref = np.linalg.svd(a @ b, compute_uv=False)[:3]
+        assert np.allclose(leading_singvals(a, b, count=3), ref, rtol=1e-8, atol=0)
+    assert len(arpack) == 2
     assert leading_singvals(np.zeros((0, 3)))[0] == 0.0
 
 

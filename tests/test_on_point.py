@@ -2,16 +2,20 @@
 
 Every lattice1d truncation (2N+1 sites) has the exact eigenvalue 0 in H0, and
 for odd N also in H (the odd sector never sees a potential at site 0).  A
-solver returns it as +-1e-16 with a sign that depends on the LAPACK build.
-Here that eigenvalue is forced to -k ulp, 0 and +k ulp, and every selection
-at lambda = 0 must give the same output for all three.
+solver returns it as +-1e-16 with a sign that depends on the LAPACK build
+(H0's closed form gives exactly 0).
+Here that eigenvalue is forced to -k ulp, 0 and +k ulp, in H0's closed form
+and in every solve of H, and every selection at lambda = 0 must give the same
+output for all three.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from specdiff import alpha, pcfunc
+from specdiff import alpha, opcore, pcfunc
 from specdiff.alpha import d_spectrum_ladder
 from specdiff.hankelmodel import build_l_operators
 from specdiff.opcore import (ModelSpec, build_model, eig, spectral_point_tol,
@@ -28,23 +32,33 @@ def test_forced_offsets_lie_within_the_on_point_tolerance():
 
 
 def _force_zero_mode(monkeypatch, offset):
-    """Make every tridiagonal solve return its on-0 eigenvalues as offset."""
-    real = scipy.linalg.eigh_tridiagonal
-    forced = []
+    """Make H0's closed form and every tridiagonal solve of H return their on-0 eigenvalues as offset."""
+    real_solver, real_chain = scipy.linalg.eigh_tridiagonal, opcore.hopping_eigenpairs
+    forced = {"free": [], "full": []}
 
-    def solver(d, e, *args, **kwargs):
-        out = real(d, e, *args, **kwargs)
-        w = np.array(out[0] if isinstance(out, tuple) else out)
+    def force(w, which):
+        w = np.array(w)
         on = np.abs(w) <= 1e-12
         w[on] = offset
-        forced.append(int(on.sum()))
-        return (w, out[1]) if isinstance(out, tuple) else w
+        forced[which].append(int(on.sum()))
+        return w
+
+    def solver(d, e, *args, **kwargs):
+        out = real_solver(d, e, *args, **kwargs)
+        if isinstance(out, tuple):
+            return force(out[0], "full"), out[1]
+        return force(out, "full")
+
+    def chain(n):
+        dec = real_chain(n)
+        return replace(dec, eigenvalues=force(dec.eigenvalues, "free"))
 
     # modules that bound the solver by name at import, and scipy.linalg for
-    # those that look it up at call time
+    # those that look it up at call time; opcore looks up the closed form at call time
     for mod in (scipy.linalg, alpha, pcfunc):
         if hasattr(mod, "eigh_tridiagonal"):
             monkeypatch.setattr(mod, "eigh_tridiagonal", solver)
+    monkeypatch.setattr(opcore, "hopping_eigenpairs", chain)
     return forced
 
 
@@ -52,7 +66,8 @@ def _outputs(offset):
     with pytest.MonkeyPatch.context() as mp:
         forced = _force_zero_mode(mp, offset)
         out = _selections_at_zero()
-    assert any(forced), "no eigenvalue sat on 0; the forcing did not reach the solvers"
+    for which, counts in forced.items():
+        assert any(counts), f"no eigenvalue of {which} sat on 0; the forcing did not reach it"
     return out
 
 

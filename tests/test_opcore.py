@@ -1,16 +1,18 @@
 """Model construction, factorization, spectral calculus."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from specdiff import opcore
 from specdiff.alpha import AlphaError, alpha_proj_limit, d_spectrum_ladders
 from specdiff.hankelmodel import build_l_operators
 from specdiff.harness import ExperimentConfig, run, validate
 from specdiff.opcore import (ModelError, ModelSpec, OperatorPair, apply_function, build_model,
-                             eig, eigendecompose, spectral_projection)
+                             difference_spectrum, eig, eigendecompose, eigendecompose_pair,
+                             projection_difference, select_spectrum, spectral_block,
+                             spectral_projection)
 from specdiff.pcfunc import PiecewiseFn, SymbolError, predicted_ess_spectrum, symbol_difference
 from specdiff.resolvent import ResolventError, boundary_value, stone_consistency, t0_of_z
 from specdiff.scatter1d import ScatteringError, smatrix_transfer
@@ -129,6 +131,69 @@ def test_free_lattice_eigenvalues_closed_form():
     assert np.allclose(tri.eigenvalues, expected, atol=1e-12)
 
 
+@pytest.mark.parametrize("spec", [
+    ModelSpec("lattice1d", 60), ModelSpec("lattice1d", 61),
+    ModelSpec("jacobi", 80, ((0, 0.5),)),
+    ModelSpec("random_traceclass", 40, decay_rate=2.0, seed=3),
+])
+def test_closed_form_free_eigenpairs_match_the_dense_oracle(spec):
+    pair = build_model(spec)
+    got, ref = eig(pair, "free"), eigendecompose(pair.dense("free"))
+    scale = np.max(np.abs(ref.eigenvalues))
+    assert np.max(np.abs(got.eigenvalues - ref.eigenvalues)) <= 8 * np.finfo(float).eps * scale
+    assert np.all(np.diff(got.eigenvalues) > 0)
+    vecs = got.eigenvectors
+    assert vecs.flags.f_contiguous
+    assert np.linalg.norm(vecs.T @ vecs - np.eye(spec.dim), 2) <= 1e-13
+    for lam in (-1.0, 0.0, 0.3, 0.7):
+        assert np.linalg.norm(spectral_projection(got, lam) - spectral_projection(ref, lam),
+                              2) <= 1e-13, lam
+
+
+def _dense_difference_spectrum(pair, lam, closed):
+    # the oracle: dense decompositions, the n x n D, and its eigvalsh
+    b0, b1 = (spectral_block(d.eigenvalues, d.eigenvectors, lam, closed)
+              for d in (eigendecompose(pair.dense(which)) for which in ("free", "full")))
+    return np.linalg.eigvalsh(projection_difference(b0, b1))
+
+
+@pytest.mark.parametrize("spec, lam, closed", [
+    (ModelSpec("lattice1d", 100, ((0, 1.0),)), 0.3, "neither"),        # one site
+    (ModelSpec("lattice1d", 90, ((0, 0.5), (3, -0.7))), 0.7, "neither"),   # two sites
+    (ModelSpec("lattice1d", 80, ((0, -2.0),)), 0.3, "neither"),        # bound state below -2
+    (ModelSpec("lattice1d", 80, ((0, -2.0),)), -1.0, "right"),
+    (ModelSpec("lattice1d", 100, ((0, 1.0),)), 0.0, "neither"),        # 0 in H0, even N
+    (ModelSpec("lattice1d", 101, ((0, 1.0),)), 0.0, "right"),          # 0 in H0 and H, odd N
+    (ModelSpec("lattice1d", 101, ((0, 1.0),)), 0.0, "neither"),
+    (ModelSpec("lattice1d", 100, ((0, 0.5),)), -3.0, "neither"),       # below both spectra
+    (ModelSpec("jacobi", 150, ((0, 1.5), (2, 0.5))), -0.4, "neither"),
+    (ModelSpec("random_traceclass", 60, decay_rate=2.0, seed=3), 0.3, "neither"),
+])
+def test_difference_spectrum_matches_the_dense_projection_difference(spec, lam, closed):
+    pair = build_model(spec)
+    got = difference_spectrum(*eigendecompose_pair(pair), lam, closed)
+    ref = _dense_difference_spectrum(pair, lam, closed)
+    assert got.shape == ref.shape == (spec.dim,)
+    assert np.max(np.abs(got - ref)) <= 1e-12
+    for one in (1.0, -1.0):
+        assert np.sum(np.abs(got - one) <= 1e-8) == np.sum(np.abs(ref - one) <= 1e-8)
+    if lam == -3.0:
+        assert not got.any()
+
+
+def test_difference_spectrum_measures_plus_minus_one_and_zero_potential():
+    # an attractive site binds a state below -2: rank E(-inf, 0.3) = rank E0(-inf, 0.3) + 1
+    pair = build_model(ModelSpec("lattice1d", 80, ((0, -2.0),)))
+    got = difference_spectrum(*eigendecompose_pair(pair), 0.3)
+    assert np.sum(np.abs(got - 1.0) <= 1e-8) == 1 and np.sum(np.abs(got + 1.0) <= 1e-8) == 0
+    # V = 0: H shares H0's decomposition and D is exactly 0
+    pair = build_model(ModelSpec("lattice1d", 80))
+    dec0, dec1 = eigendecompose_pair(pair)
+    assert dec1 is dec0
+    for lam in (-1.0, 0.0, 0.3):
+        assert np.array_equal(difference_spectrum(dec0, dec1, lam), np.zeros(161))
+
+
 def test_orthonormality_and_residual():
     pair = build_model(ModelSpec("lattice1d", 10, ((0, 1.0),)))
     dec = eigendecompose(pair.dense("full"))
@@ -153,16 +218,21 @@ def test_spectral_projection_extremes_and_rank():
 
 
 @pytest.mark.parametrize("closed", ["neither", "left", "right"])
-def test_eig_window_on_an_exact_eigenvalue_same_on_both_routes(monkeypatch, closed):
+def test_eig_window_on_an_exact_eigenvalue_same_on_both_routes(closed):
     # 0 = 2 cos(12 pi / 24) and +-1 = 2 cos(8 pi / 24), 2 cos(16 pi / 24) are
     # exact eigenvalues of the 23-site H0 (and 0 of H, for odd N); windows
-    # ending on them select them by closed alone
+    # ending on them select them by closed alone, on eig's route and on the
+    # dense oracle's
     pair = build_model(ModelSpec("lattice1d", 11, ((0, 1.0),)))
     windows = ((0.0, 1.0), (-1.0, 0.0))
     calls = [(which, lo, hi) for which in ("free", "full") for lo, hi in windows]
     tri = [eig(pair, which, lo, hi, closed) for which, lo, hi in calls]
-    monkeypatch.setattr(opcore, "is_tridiagonal", lambda pair: False)
-    dense = [eig(pair, which, lo, hi, closed) for which, lo, hi in calls]
+    dense = []
+    for which, lo, hi in calls:
+        dec = eigendecompose(pair.dense(which))
+        sel = select_spectrum(dec.eigenvalues, lo, hi, closed)
+        dense.append(replace(dec, eigenvalues=dec.eigenvalues[sel],
+                             eigenvectors=dec.eigenvectors[:, sel]))
     for (which, lo, hi), a, b in zip(calls, tri, dense):
         assert a.eigenvalues.size == b.eigenvalues.size, (which, lo, closed)
         assert np.allclose(a.eigenvalues, b.eigenvalues, atol=1e-12)

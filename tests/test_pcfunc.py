@@ -255,7 +255,7 @@ def test_each_rung_is_decomposed_once_for_every_symbol(monkeypatch):
     for run in runs:
         calls.clear()
         run()
-        assert len(calls) == 2 * len(n_list)       # one solve of H0 and one of H
+        assert len(calls) == len(n_list)           # one solve of H; H0 in closed form
 
 
 def test_union_single_piece_distance_zero():
