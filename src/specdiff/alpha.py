@@ -6,6 +6,9 @@ is computed (i) from the derivative formula pi ||F0'^(1/2) J F'^(1/2)||,
 on finite truncations.  d_spectrum_ladder tracks the eigenvalue cloud of
 D = E(-inf,lambda) - E0(-inf,lambda) along a ladder of truncations, and
 d_spectrum_ladders does so for many lambda from one decomposition per rung.
+A one-site V at lattice1d site 0 takes opcore's even-sector route (eigenvalues
+only, the eigenvector overlap as a Cauchy matrix) in the ladders and in
+alpha_proj_limit; every other pair takes the two whole decompositions.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tolerances as tol
-from .opcore import (ModelSpec, OperatorPair, build_model, difference_spectrum, eig,
-                     eigendecompose_pair, in_band, select_spectrum, spectral_block)
+from .opcore import (ModelSpec, OperatorPair, build_model, eig, even_sector, in_band,
+                     ladder_rung, one_site_at_origin, select_spectrum)
 from .resolvent import BoundaryValue
 
 
@@ -116,7 +119,9 @@ def alpha_proj_limit(pair: OperatorPair, lam, eps_schedule) -> AlphaEstimate:
     open window win = (lam - eps, lam + eps) and extrapolates linearly in eps
     from the two smallest scheduled values.  H0 and H are each solved once,
     whole (opcore.eig), and every window is cut from that solve by
-    opcore.select_spectrum.
+    opcore.select_spectrum.  For a one-site V at lattice1d site 0 the solve is
+    opcore.even_sector, which needs no eigenvectors: G times them is sqrt|v|
+    times phi_k(0) and psi_j(0), the only sites that G sees.
     """
     eps_schedule = sorted(set(float(e) for e in eps_schedule), reverse=True)
     if not eps_schedule:
@@ -131,7 +136,7 @@ def alpha_proj_limit(pair: OperatorPair, lam, eps_schedule) -> AlphaEstimate:
     if pair.k_dim == 0:
         diag = [(e, 0.0) for e in eps_schedule]
     else:
-        (w0, gv0), (w1, gv1) = (_site_weights(pair, which) for which in ("free", "full"))
+        (w0, gv0), (w1, gv1) = _site_weights(pair)
         diag = []
         for e in eps_schedule:
             b0 = gv0[:, select_spectrum(w0, lam - e, lam + e)]
@@ -146,10 +151,15 @@ def alpha_proj_limit(pair: OperatorPair, lam, eps_schedule) -> AlphaEstimate:
                          route="proj_limit", diagnostics=tuple(diag))
 
 
-def _site_weights(pair, which):
-    # eigenvalues and G times the eigenvectors, which are dropped on return
-    dec = eig(pair, which)
-    return dec.eigenvalues, pair.g @ dec.eigenvectors
+def _site_weights(pair):
+    # H0's and H's eigenvalues, each with G times its eigenvectors, which are dropped on return
+    if one_site_at_origin(pair):
+        sec = even_sector(pair)
+        root = pair.g[0, pair.spec.site_index(0)]        # sqrt|v|; psi_j(0) = |z|^T W
+        return ((sec.free, root * sec.weight[None, :]),
+                (sec.full, root * (sec.weight @ sec.overlap)[None, :]))
+    return tuple((dec.eigenvalues, pair.g @ dec.eigenvectors)
+                 for dec in (eig(pair, which) for which in ("free", "full")))
 
 
 def _b4_residual_norm(v0n, v1n):
@@ -215,11 +225,16 @@ def transient_filter(cloud, prev_cloud, move_tol=None):
 def d_spectrum_ladders(spec: ModelSpec, lams, n_list) -> tuple:
     """d_spectrum_ladder for every lambda in lams, one EssSpectrumEstimate each.
 
-    Each rung is built and decomposed once (opcore.eigendecompose_pair: H0
-    in closed form, one solve of H).  The cloud of every lambda comes from
-    opcore.difference_spectrum, the singular values of two cross blocks of
-    the eigenvectors, which pcfunc's single-jump ladders share; the D^2
-    residual acts through the prefix views of the eigenvectors below lambda.
+    Each rung is built and decomposed once, by the route opcore.ladder_rung
+    picks from the pair.  A one-site V at lattice1d site 0 takes the even
+    sector (opcore.even_sector): H0's eigenvalues in closed form, one
+    eigvals_only solve of the (N+1)-site half chain, and the overlap W of the
+    eigenvectors as a Cauchy matrix, so no n x n eigenvector set is formed.
+    Every other pair takes opcore.eigendecompose_pair (H0 in closed form, one
+    solve of H).  The cloud of every lambda is the singular values of two
+    cross blocks of the overlap, which pcfunc's single-jump ladders share; the
+    D^2 residual acts through the blocks below lambda (in the sector basis, it
+    measures W's orthogonality defect).
     """
     return _ladders(spec, lams, n_list)
 
@@ -242,11 +257,10 @@ def _ladders(spec, lams, n_list):
     clouds = [[] for _ in lams]
     residuals = [[] for _ in lams]
     for n in n_list:
-        decs = eigendecompose_pair(build_model(replace(spec, n_half=n)))
+        rung = ladder_rung(build_model(replace(spec, n_half=n)))
         for i, lam in enumerate(lams):
-            residuals[i].append(_b4_residual_norm(
-                *(spectral_block(dec.eigenvalues, dec.eigenvectors, lam) for dec in decs)))
-            clouds[i].append(difference_spectrum(*decs, lam))
+            residuals[i].append(_b4_residual_norm(*rung.blocks(lam)))
+            clouds[i].append(rung.difference_spectrum(lam))
     return tuple(_ess_estimate(lam, n_list, c, r) for lam, c, r in zip(lams, clouds, residuals))
 
 

@@ -112,6 +112,8 @@ def _fatal_diagnostics(config: ExperimentConfig):
         diags.append("lambda_grid is empty")
     if config.kind == "d_ladder" and len(config.n_list) < 3:
         diags.append("d_ladder needs at least 3 truncation sizes")
+    if config.kind in ("d_ladder", "phi_check") and list(config.n_list) != sorted(config.n_list):
+        diags.append(f"n_list {list(config.n_list)} must be ascending")
     if config.kind == "phi_check" and config.phi is None:
         diags.append("phi_check requires a phi symbol")
     parent = os.path.dirname(os.path.abspath(config.output_dir)) or "."

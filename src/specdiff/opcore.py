@@ -6,8 +6,12 @@ eigensolver of a pair (eig, which takes H0's eigenpairs in closed form from
 hopping_eigenpairs and solves only H), the one band rule (in_band), the one
 singular-value routine (leading_singvals), spectral projections, the spectrum
 of a projection difference from two cross blocks (difference_spectrum) and
-functions of operators phi(H).  Its thresholds are read from
-specdiff.tolerances.
+functions of operators phi(H).  A ladder rung (ladder_rung) takes one of two
+routes, by one rule on the pair (one_site_at_origin): the even sector of a
+one-site V at lattice1d site 0 (even_sector: eigenvalues only, and the
+overlap of the eigenvectors as a Cauchy matrix), or the two whole
+decompositions (eigendecompose_pair), which stay the oracle.  Its thresholds
+are read from specdiff.tolerances.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -222,6 +227,11 @@ def eigendecompose(m: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=w, eigenvectors=vecs)
 
 
+def _two_cos(k, m):
+    # 2 cos(pi k / m) as a sine of an argument in [-pi/2, pi/2]: exact 0 at 2k = m, exact +- pairs
+    return 2.0 * np.sin(np.pi * (m - 2 * k) / (2 * m))
+
+
 def hopping_eigenpairs(n: int) -> SpectralDecomposition:
     """Closed-form eigenpairs of the n-site hopping chain H0 (Dirichlet ends), ascending.
 
@@ -237,12 +247,24 @@ def hopping_eigenpairs(n: int) -> SpectralDecomposition:
     half = np.sqrt(2.0 / m) * np.sin(np.pi * np.minimum(r, m - r) / m)
     table = np.concatenate([half, -half])                           # sin(pi r / m), r < 2m
     k = np.arange(n, 0, -1)
-    w = 2.0 * np.sin(np.pi * (m - 2 * k) / (2 * m))                 # 2 cos(pi k / m)
+    w = _two_cos(k, m)
     x = np.arange(1, n + 1)
     rows = np.empty((n, n))
     for start in range(0, n, 256):                                  # bounded integer scratch
         rows[start:start + 256] = table[np.outer(k[start:start + 256], x) % (2 * m)]
     return SpectralDecomposition(eigenvalues=w, eigenvectors=rows.T)
+
+
+def hopping_even_sector(n_half: int):
+    """H0's eigenvalues, ascending, and |phi_k(0)| on the even sector of the lattice1d chain.
+
+    The (2N+1)-site chain (sites -N..N, m = 2N + 2) has phi_k(0) = sqrt(2/m)
+    sin(pi k / 2): the N + 1 eigenvectors of odd k do not vanish at site 0,
+    and all have |phi_k(0)| = sqrt(2/m).  Their eigenvalues are those of
+    hopping_eigenpairs(2N + 1) at its even ascending indices, with the same bits.
+    """
+    m = 2 * n_half + 2
+    return _two_cos(np.arange(m - 1, 0, -2), m), np.full(n_half + 1, np.sqrt(2.0 / m))
 
 
 def eig(pair: OperatorPair, which: str, lo=-np.inf, hi=np.inf,
@@ -274,10 +296,121 @@ def eig(pair: OperatorPair, which: str, lo=-np.inf, hi=np.inf,
     return replace(dec, eigenvalues=dec.eigenvalues[sel], eigenvectors=dec.eigenvectors[:, sel])
 
 
-def eigendecompose_pair(pair: OperatorPair):
+class PairDecomposition(NamedTuple):
+    """The whole decompositions of H0 and H (eigendecompose_pair): the dense route of a rung."""
+
+    free: SpectralDecomposition
+    full: SpectralDecomposition
+
+    def blocks(self, hi, closed="neither"):
+        """Prefix views of H0's and H's eigenvectors below hi (spectral_block)."""
+        return tuple(spectral_block(dec.eigenvalues, dec.eigenvectors, hi, closed) for dec in self)
+
+    def difference_spectrum(self, hi, closed="neither"):
+        """The spectrum of E(-inf, hi) - E0(-inf, hi) (difference_spectrum)."""
+        return difference_spectrum(self.free, self.full, hi, closed)
+
+
+def eigendecompose_pair(pair: OperatorPair) -> PairDecomposition:
     """(H0, H) decompositions of the whole spectra; one object for both when V = 0."""
     free = eig(pair, "free")
-    return free, (free if not pair.v.any() else eig(pair, "full"))
+    return PairDecomposition(free, free if not pair.v.any() else eig(pair, "full"))
+
+
+@dataclass(frozen=True)
+class EvenSector:
+    """The even sector of a pair whose V is one site at lattice1d site 0 (even_sector).
+
+    free    -- the N + 1 eigenvalues lambda_k of H0 whose eigenvectors phi_k do
+               not vanish at site 0, ascending
+    full    -- the N + 1 eigenvalues mu_j of H on the same sector, ascending
+    weight  -- |phi_k(0)|, one per lambda_k
+    overlap -- W = Phi^T Psi on the sector (Fortran order), with each phi_k
+               signed so that phi_k(0) = weight[k]
+    dim     -- 2N + 1, the size of the whole space
+    blocks and difference_spectrum act as PairDecomposition's do, in the
+    sector basis phi_k; the odd sector, common to H0 and H, adds zeros.
+    """
+
+    free: np.ndarray
+    full: np.ndarray
+    weight: np.ndarray
+    overlap: np.ndarray
+    dim: int
+
+    def _counts(self, hi, closed):
+        return _count_below(self.free, hi, closed), _count_below(self.full, hi, closed)
+
+    def blocks(self, hi, closed="neither"):
+        """I[:, :k0] and W[:, :k1]: H0's and H's sector eigenvectors below hi, in the phi_k basis."""
+        k0, k1 = self._counts(hi, closed)
+        return np.eye(self.free.size, k0), self.overlap[:, :k1]
+
+    def difference_spectrum(self, hi, closed="neither"):
+        """+sigma(W[k0:, :k1]) and -sigma(W[:k0, k1:]), padded with zeros to dim (difference_spectrum)."""
+        k0, k1 = self._counts(hi, closed)
+        w = self.overlap
+        return _principal_angle_spectrum(w[k0:, :k1], w[:k0, k1:], self.dim)
+
+
+def one_site_at_origin(pair: OperatorPair) -> bool:
+    """Whether V is one site at lattice1d site 0: the rule by which a rung takes the even sector."""
+    pot = pair.spec.potential
+    return pair.spec.kind == "lattice1d" and len(pot) == 1 and pot[0][0] == 0
+
+
+def ladder_rung(pair: OperatorPair):
+    """The spectral data of one ladder rung: even_sector(pair) if one_site_at_origin, else
+    eigendecompose_pair(pair).  Both give blocks(hi, closed) and difference_spectrum(hi, closed)."""
+    return even_sector(pair) if one_site_at_origin(pair) else eigendecompose_pair(pair)
+
+
+def even_sector(pair: OperatorPair) -> EvenSector:
+    """The even sector of a one-site V = v at lattice1d site 0, from eigenvalues alone.
+
+    The reflection x -> -x splits R^(2N+1): V vanishes on the odd vectors, so
+    they are common eigenvectors of H0 and H and add nothing to D.  On the even
+    sector H0 has the closed form of hopping_even_sector, and H = Lambda +
+    v z z^T in H0's eigenbasis (z_k = |phi_k(0)|), whose eigenvalues mu_j come
+    from one eigvals_only solve of the half chain on sites 0..N (sqrt 2 on the
+    first bond, v at site 0).  Its eigenvectors are the columns of the Cauchy
+    matrix W_kj = zh_k / (lambda_k - mu_j), normalised, with the Loewner
+    weights zh_k^2 = prod_j (mu_j - lambda_k) / (v prod_{i != k} (lambda_i -
+    lambda_k)), summed in logs, for which the computed mu_j are exact
+    (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 15, 1994): W is orthogonal to
+    working accuracy, and the D^2 residual of a ladder measures its defect.
+    H0's sector spectrum is taken antisymmetric, (lambda - lambda[::-1]) / 2,
+    which keeps the closed form's bits and its exact 0 (even N) whatever
+    roundoff that eigenvalue is given, so W does not depend on it either.
+    """
+    from scipy import linalg            # looked up at call time, so it can be swapped
+
+    n_half, ((_, v),) = pair.spec.n_half, pair.spec.potential
+    lam, z = hopping_even_sector(n_half)
+    lam = 0.5 * (lam - lam[::-1])
+    diag = np.zeros(n_half + 1)
+    diag[0] = v
+    off = np.ones(n_half)
+    off[0] = np.sqrt(2.0)
+    mu = linalg.eigh_tridiagonal(diag, off, eigvals_only=True)
+    zhat = np.exp(0.5 * (_log_gaps(lam, mu) - _log_gaps(lam, lam) - np.log(abs(v))))
+    w = np.empty((lam.size, mu.size), order="F")
+    np.subtract.outer(lam, mu, out=w)
+    np.divide(zhat[:, None], w, out=w)
+    w /= np.sqrt(np.einsum("kj,kj->j", w, w))
+    return EvenSector(free=lam, full=mu, weight=z, overlap=w, dim=pair.spec.dim)
+
+
+def _log_gaps(x, y):
+    # sum over j of log|x_i - y_j|, leaving out the zero gaps x_i = y_i when y is x; 256 rows at a time
+    out = np.empty(x.size)
+    for start in range(0, x.size, 256):
+        gaps = np.abs(np.subtract.outer(x[start:start + 256], y))
+        if y is x:
+            i = np.arange(gaps.shape[0])
+            gaps[i, start + i] = 1.0
+        out[start:start + 256] = np.log(gaps).sum(axis=1)
+    return out
 
 
 def spectral_point_tol(scale: float) -> float:
@@ -350,9 +483,15 @@ def difference_spectrum(dec0: SpectralDecomposition, dec1: SpectralDecomposition
     if dec0 is dec1:
         return np.zeros(phi.shape[0])
     k0, k1 = (_count_below(dec.eigenvalues, hi, closed) for dec in (dec0, dec1))
-    plus = np.linalg.svd(phi[:, k0:].T @ psi[:, :k1], compute_uv=False)
-    minus = np.linalg.svd(phi[:, :k0].T @ psi[:, k1:], compute_uv=False)
-    return np.concatenate([-minus, np.zeros(phi.shape[0] - plus.size - minus.size), plus[::-1]])
+    return _principal_angle_spectrum(phi[:, k0:].T @ psi[:, :k1], phi[:, :k0].T @ psi[:, k1:],
+                                     phi.shape[0])
+
+
+def _principal_angle_spectrum(plus, minus, n):
+    # ascending: -sigma(minus), zeros up to n entries, +sigma(plus)
+    plus = np.linalg.svd(plus, compute_uv=False)
+    minus = np.linalg.svd(minus, compute_uv=False)
+    return np.concatenate([-minus, np.zeros(n - plus.size - minus.size), plus[::-1]])
 
 
 def spectral_projection(dec: SpectralDecomposition, lam: float) -> np.ndarray:

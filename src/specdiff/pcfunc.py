@@ -17,8 +17,8 @@ import numpy as np
 
 from . import tolerances as tol
 from .alpha import nearest_distances, transient_filter
-from .opcore import (ModelSpec, OperatorPair, apply_function, build_model, difference_spectrum,
-                     eigendecompose_pair, in_band, leading_singvals, projection_difference,
+from .opcore import (ModelSpec, OperatorPair, apply_function, build_model, eigendecompose_pair,
+                     in_band, ladder_rung, leading_singvals, projection_difference,
                      snap_to_points, spectral_block)
 
 _BACKGROUNDS = ("zero", "gaussian_bump", "arctan_step_smoothed")
@@ -203,9 +203,12 @@ def symbol_difference(pair: OperatorPair, phi: PiecewiseFn) -> np.ndarray:
     left limit, whichever sign its roundoff has (opcore.select_spectrum).
     Pure step symbols reduce to differences of eigenvector-block projections
     onto the eigenvalues at most the jump location.  The ladders
-    (empirical_spectrum) take a single step's cloud from
-    opcore.difference_spectrum instead, as d_spectrum_ladder does, and form
-    no n x n matrix for it.
+    (empirical_spectrum) take a single step's cloud from the rung's
+    difference_spectrum instead, as d_spectrum_ladder does, and form no n x n
+    matrix for it; when every symbol of a ladder is one step, a one-site V at
+    lattice1d site 0 takes opcore's even sector there, with no eigenvectors.
+    This function always forms the dense difference from both whole
+    decompositions.
     """
     return _difference(eigendecompose_pair(pair), phi)
 
@@ -244,30 +247,36 @@ def empirical_spectrum(spec: ModelSpec, phi: PiecewiseFn, n_list) -> dict:
 
 
 def _spectra(spec, phis, n_list):
-    # empirical_spectrum for every symbol of phis, from one decomposition per rung
+    # empirical_spectrum for every symbol of phis, from one decomposition per rung; a rung
+    # that only serves single steps takes opcore.ladder_rung's route, else both decompositions
     if not all(phi.is_real for phi in phis):
         raise SymbolError("complex symbols excluded from empirical validation "
                           "(difference non-normal; finite-section spectra unreliable)")
     n_list = tuple(int(n) for n in n_list)
     if not n_list or list(n_list) != sorted(n_list):
         raise SymbolError("n_list must be ascending and non-empty")
+    rung_of = ladder_rung if all(map(_is_step, phis)) else eigendecompose_pair
     clouds = [[] for _ in phis]
     for n in n_list:
-        decs = eigendecompose_pair(build_model(replace(spec, n_half=n)))
+        rung = rung_of(build_model(replace(spec, n_half=n)))
         for c, phi in zip(clouds, phis):
-            c.append(_cloud(decs, phi))
+            c.append(_cloud(rung, phi))
     return tuple({"n_list": n_list, "clouds": tuple(c),
                   "accumulation": accumulation_set(c[-1], c[-2]) if len(c) >= 2 else c[-1],
                   "big_counts": tuple(int(np.sum(np.abs(x) > tol.BIG_EIGENVALUE)) for x in c)}
                  for c in clouds)
 
 
-def _cloud(decs, phi):
+def _is_step(phi):
+    return phi.background == "zero" and len(phi.jumps) == 1
+
+
+def _cloud(rung, phi):
     # ascending eigenvalues of phi(H) - phi(H0); one step is -kappa (E(-inf, loc] - E0(-inf, loc])
-    if phi.background == "zero" and len(phi.jumps) == 1:
+    if _is_step(phi):
         loc, lo, hi = phi.jumps[0]
-        return np.sort(-(hi - lo).real * difference_spectrum(*decs, loc, closed="right"))
-    return np.linalg.eigvalsh(_difference(decs, phi))
+        return np.sort(-(hi - lo).real * rung.difference_spectrum(loc, closed="right"))
+    return np.linalg.eigvalsh(_difference(rung, phi))
 
 
 def accumulation_set(cloud, prev_cloud):

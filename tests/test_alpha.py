@@ -121,6 +121,30 @@ def test_proj_limit_solves_each_operator_once(monkeypatch):
     assert np.allclose([v for _, v in est.diagnostics], ref, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("v", [-2.0, 0.5, 1.0])
+def test_proj_limit_one_site_takes_the_even_sector(v, monkeypatch):
+    # G sees only site 0: the sector's |phi_k(0)| and |z|^T W give the eigenvector route's values
+    pair = build_model(ModelSpec("lattice1d", 1000, ((0, v),)))
+    lam, schedule = 0.2, (0.8, 0.4, 0.2, 0.1)
+    decs = [eig(pair, which) for which in ("free", "full")]
+    ref = []
+    for e in schedule:
+        b0, b1 = (pair.g @ d.eigenvectors[:, select_spectrum(d.eigenvalues, lam - e, lam + e)]
+                  for d in decs)
+        ref.append((np.pi / (2.0 * e)) * np.linalg.norm(b0.T @ pair.j @ b1, 2))
+    real = scipy.linalg.eigh_tridiagonal
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("eigvals_only", False))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counting)
+    est = alpha_proj_limit(pair, lam, schedule)
+    assert calls == [True]                          # one eigenvalues-only solve of H's sector
+    assert np.allclose([v for _, v in est.diagnostics], ref, rtol=0, atol=1e-12)
+
+
 def test_ladder_trivial_and_guards():
     est = d_spectrum_ladder(ModelSpec("lattice1d", 10), 0.0, (50, 100, 200))
     assert est.alpha_empirical == 0.0

@@ -65,6 +65,20 @@ def test_validate_diagnostics(tmp_path):
         ExperimentConfig.from_json(json.dumps(bad))
 
 
+@pytest.mark.parametrize("kind", ["d_ladder", "phi_check"])
+def test_descending_n_list_is_a_fatal_diagnostic(tmp_path, kind):
+    # the ladders refuse an n_list that does not ascend; validate and run say so up front
+    phi = {"jumps": [{"lambda": 0.3, "left": [0.0, 0.0], "right": [1.0, 0.0]}]}
+    doc = _config(tmp_path, kind=kind, lambda_grid=[0.3], phi=phi, n_list=[40, 20, 30])
+    cfg = ExperimentConfig.from_json(json.dumps(doc))
+    assert validate(cfg) == ["n_list [40, 20, 30] must be ascending"]
+    with pytest.raises(ConfigError, match="must be ascending"):
+        run(cfg)
+    assert not (tmp_path / "out").exists()
+    doc["n_list"] = [20, 30, 40]
+    assert validate(ExperimentConfig.from_json(json.dumps(doc))) == []
+
+
 def test_alpha_sweep_run_and_manifest(tmp_path):
     cfg = ExperimentConfig.from_json(json.dumps(_config(tmp_path)))
     record = run(cfg)
@@ -198,14 +212,15 @@ def test_phi_and_hankel_and_fredholm_kinds(tmp_path):
 
 
 def test_d_ladder_records_one_error_per_lambda(tmp_path):
-    # an unsorted ladder passes the static checks and fails in the shared call
+    # a rung too short for the potential's site passes the static checks and fails in the
+    # shared call (an unsorted ladder is a static diagnostic)
     doc = _config(tmp_path, kind="d_ladder", lambda_grid=[-1.0, 0.0, 0.7],
-                  n_list=[40, 20, 80])
+                  model=dict(MODEL, potential=[[5, 0.5]]), n_list=[4, 20, 80])
     record = run(ExperimentConfig.from_json(json.dumps(doc)))
     assert record.status == "partial"
     assert [e["lambda"] for e in record.errors] == [-1.0, 0.0, 0.7]
-    assert all("ascending" in e["error"] for e in record.errors)
-    assert all(e["type"] == "AlphaError" for e in record.errors)
+    assert all("outside [-4, 4]" in e["error"] for e in record.errors)
+    assert all(e["type"] == "ModelError" for e in record.errors)
     assert not record.files
 
     doc = _config(tmp_path, kind="d_ladder", lambda_grid=[-1.0, 0.7],

@@ -6,7 +6,9 @@ solver returns it as +-1e-16 with a sign that depends on the LAPACK build
 (H0's closed form gives exactly 0).
 Here that eigenvalue is forced to -k ulp, 0 and +k ulp, in H0's closed form
 and in every solve of H, and every selection at lambda = 0 must give the same
-output for all three.
+output for all three.  The forcing also reaches the even-sector route of a
+one-site ladder: H0's closed form on the sector (whose 0 mode is there for
+even N) and the eigenvalues-only solve of H on it.
 """
 
 from dataclasses import replace
@@ -32,9 +34,12 @@ def test_forced_offsets_lie_within_the_on_point_tolerance():
 
 
 def _force_zero_mode(monkeypatch, offset):
-    """Make H0's closed form and every tridiagonal solve of H return their on-0 eigenvalues as offset."""
+    """Make H0's closed forms (whole and even sector) and every tridiagonal solve of H return
+    their on-0 eigenvalues as offset."""
     real_solver, real_chain = scipy.linalg.eigh_tridiagonal, opcore.hopping_eigenpairs
-    forced = {"free": [], "full": []}
+    real_sector = opcore.hopping_even_sector
+    forced = {"free": [], "full": [], "sector": []}
+    eigvals_only = []               # one flag per solve that returned eigenvalues alone
 
     def force(w, which):
         w = np.array(w)
@@ -47,11 +52,16 @@ def _force_zero_mode(monkeypatch, offset):
         out = real_solver(d, e, *args, **kwargs)
         if isinstance(out, tuple):
             return force(out[0], "full"), out[1]
+        eigvals_only.append(kwargs.get("eigvals_only", False))
         return force(out, "full")
 
     def chain(n):
         dec = real_chain(n)
         return replace(dec, eigenvalues=force(dec.eigenvalues, "free"))
+
+    def sector(n_half):
+        w, weight = real_sector(n_half)
+        return force(w, "sector"), weight
 
     # modules that bound the solver by name at import, and scipy.linalg for
     # those that look it up at call time; opcore looks up the closed form at call time
@@ -59,15 +69,19 @@ def _force_zero_mode(monkeypatch, offset):
         if hasattr(mod, "eigh_tridiagonal"):
             monkeypatch.setattr(mod, "eigh_tridiagonal", solver)
     monkeypatch.setattr(opcore, "hopping_eigenpairs", chain)
-    return forced
+    monkeypatch.setattr(opcore, "hopping_even_sector", sector)
+    return forced, eigvals_only
 
 
 def _outputs(offset):
     with pytest.MonkeyPatch.context() as mp:
-        forced = _force_zero_mode(mp, offset)
+        forced, eigvals_only = _force_zero_mode(mp, offset)
         out = _selections_at_zero()
     for which, counts in forced.items():
         assert any(counts), f"no eigenvalue of {which} sat on 0; the forcing did not reach it"
+    # the sector's solve of H (one per rung of the ladder) has no eigenvalue on 0, but it was
+    # intercepted
+    assert eigvals_only == [True] * 3
     return out
 
 

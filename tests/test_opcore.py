@@ -3,14 +3,17 @@
 import json
 from dataclasses import replace
 
+import scipy.linalg
+
 import numpy as np
 import pytest
 
 from specdiff.alpha import AlphaError, alpha_proj_limit, d_spectrum_ladders
 from specdiff.hankelmodel import build_l_operators
 from specdiff.harness import ExperimentConfig, run, validate
-from specdiff.opcore import (ModelError, ModelSpec, OperatorPair, apply_function, build_model,
-                             difference_spectrum, eig, eigendecompose, eigendecompose_pair,
+from specdiff.opcore import (EvenSector, ModelError, ModelSpec, OperatorPair, apply_function,
+                             build_model, difference_spectrum, eig, eigendecompose,
+                             eigendecompose_pair, even_sector, ladder_rung, one_site_at_origin,
                              projection_difference, select_spectrum, spectral_block,
                              spectral_projection)
 from specdiff.pcfunc import PiecewiseFn, SymbolError, predicted_ess_spectrum, symbol_difference
@@ -157,7 +160,7 @@ def _dense_difference_spectrum(pair, lam, closed):
     return np.linalg.eigvalsh(projection_difference(b0, b1))
 
 
-@pytest.mark.parametrize("spec, lam, closed", [
+DIFFERENCE_CASES = [
     (ModelSpec("lattice1d", 100, ((0, 1.0),)), 0.3, "neither"),        # one site
     (ModelSpec("lattice1d", 90, ((0, 0.5), (3, -0.7))), 0.7, "neither"),   # two sites
     (ModelSpec("lattice1d", 80, ((0, -2.0),)), 0.3, "neither"),        # bound state below -2
@@ -168,7 +171,10 @@ def _dense_difference_spectrum(pair, lam, closed):
     (ModelSpec("lattice1d", 100, ((0, 0.5),)), -3.0, "neither"),       # below both spectra
     (ModelSpec("jacobi", 150, ((0, 1.5), (2, 0.5))), -0.4, "neither"),
     (ModelSpec("random_traceclass", 60, decay_rate=2.0, seed=3), 0.3, "neither"),
-])
+]
+
+
+@pytest.mark.parametrize("spec, lam, closed", DIFFERENCE_CASES)
 def test_difference_spectrum_matches_the_dense_projection_difference(spec, lam, closed):
     pair = build_model(spec)
     got = difference_spectrum(*eigendecompose_pair(pair), lam, closed)
@@ -179,6 +185,72 @@ def test_difference_spectrum_matches_the_dense_projection_difference(spec, lam, 
         assert np.sum(np.abs(got - one) <= 1e-8) == np.sum(np.abs(ref - one) <= 1e-8)
     if lam == -3.0:
         assert not got.any()
+
+
+@pytest.mark.parametrize("spec, lam, closed", [
+    case for case in DIFFERENCE_CASES if one_site_at_origin(build_model(case[0]))])
+def test_even_sector_cloud_matches_the_dense_oracle(spec, lam, closed):
+    pair = build_model(spec)
+    sec = ladder_rung(pair)
+    assert isinstance(sec, EvenSector)
+    assert sec.free.size == sec.full.size == spec.n_half + 1
+    got = sec.difference_spectrum(lam, closed)
+    ref = _dense_difference_spectrum(pair, lam, closed)
+    assert got.shape == ref.shape == (spec.dim,)
+    assert np.max(np.abs(got - ref)) <= 1e-12
+    for one in (1.0, -1.0):
+        assert np.sum(np.abs(got - one) <= 1e-8) == np.sum(np.abs(ref - one) <= 1e-8)
+    if lam == -3.0:
+        assert not got.any()
+    # the sector's eigenvalues are H0's and H's whole spectra less the odd modes, which they share
+    whole = eigendecompose_pair(pair)
+    odd = np.setdiff1d(np.arange(spec.dim), np.arange(0, spec.dim, 2))
+    assert np.array_equal(sec.free, whole.free.eigenvalues[::2])
+    assert np.allclose(np.sort(np.concatenate([sec.full, whole.free.eigenvalues[odd]])),
+                       whole.full.eigenvalues, rtol=0, atol=1e-12)
+
+
+def test_even_sector_overlap_is_orthogonal():
+    for v in (-2.0, 0.5, 1.0):
+        w = even_sector(build_model(ModelSpec("lattice1d", 1000, ((0, v),)))).overlap
+        assert np.linalg.norm(w.T @ w - np.eye(1001), 2) <= 1e-11, v
+
+
+def _counting_solver(monkeypatch):
+    real, calls = scipy.linalg.eigh_tridiagonal, []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("eigvals_only", False))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counting)
+    return calls
+
+
+def test_one_site_ladder_solves_each_rung_once_for_eigenvalues_only(monkeypatch):
+    calls = _counting_solver(monkeypatch)
+    n_list = (20, 40, 80)
+    d_spectrum_ladders(ModelSpec("lattice1d", 10, ((0, 1.0),)), (-1.0, 0.0, 0.3), n_list)
+    assert calls == [True] * len(n_list)
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec("lattice1d", 10, ((0, 1.0), (2, -0.5))),        # two sites
+    ModelSpec("lattice1d", 10, ((1, 1.0),)),                  # one site, off the origin
+    ModelSpec("jacobi", 10, ((0, 1.5),)),
+    ModelSpec("random_traceclass", 10, decay_rate=2.0, seed=3),
+])
+def test_other_pairs_keep_the_whole_decompositions(spec, monkeypatch):
+    lams, n_list = (-1.0, 0.0, 0.3), (20, 40, 80)
+    assert not one_site_at_origin(build_model(spec))
+    ests = d_spectrum_ladders(spec, lams, n_list)
+    for i, n in enumerate(n_list):
+        decs = eigendecompose_pair(build_model(replace(spec, n_half=n)))
+        for lam, est in zip(lams, ests):
+            assert np.array_equal(est.eigenvalue_clouds[i], difference_spectrum(*decs, lam))
+    calls = _counting_solver(monkeypatch)
+    d_spectrum_ladders(spec, lams, n_list)
+    assert calls == ([False] * len(n_list) if spec.kind != "random_traceclass" else [])
 
 
 def test_difference_spectrum_measures_plus_minus_one_and_zero_potential():
