@@ -6,9 +6,8 @@ is computed (i) from the derivative formula pi ||F0'^(1/2) J F'^(1/2)||,
 on finite truncations.  d_spectrum_ladder tracks the eigenvalue cloud of
 D = E(-inf,lambda) - E0(-inf,lambda) along a ladder of truncations, and
 d_spectrum_ladders does so for many lambda from one decomposition per rung.
-A one-site V at lattice1d site 0 takes opcore's even-sector route (eigenvalues
-only, the eigenvector overlap as a Cauchy matrix) in the ladders and in
-alpha_proj_limit; every other pair takes the two whole decompositions.
+The ladders and alpha_proj_limit read only the rung (opcore.ladder_rung),
+which chooses its route from the pair.
 """
 
 from __future__ import annotations
@@ -18,8 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tolerances as tol
-from .opcore import (ModelSpec, OperatorPair, build_model, eig, even_sector, in_band,
-                     ladder_rung, one_site_at_origin, select_spectrum)
+from .opcore import (ModelSpec, OperatorPair, build_model, count_below, in_band, ladder_rung,
+                     select_spectrum)
 from .resolvent import BoundaryValue
 
 
@@ -117,11 +116,9 @@ def alpha_proj_limit(pair: OperatorPair, lam, eps_schedule) -> AlphaEstimate:
 
     For each eps computes (pi/2eps) ||(G E0(win))^T J G E(win)|| over the
     open window win = (lam - eps, lam + eps) and extrapolates linearly in eps
-    from the two smallest scheduled values.  H0 and H are each solved once,
-    whole (opcore.eig), and every window is cut from that solve by
-    opcore.select_spectrum.  For a one-site V at lattice1d site 0 the solve is
-    opcore.even_sector, which needs no eigenvectors: G times them is sqrt|v|
-    times phi_k(0) and psi_j(0), the only sites that G sees.
+    from the two smallest scheduled values.  The pair is decomposed once
+    (opcore.ladder_rung), and every window is cut from its whole spectra by
+    opcore.select_spectrum.  G E0 is the rung's g_free and G E is g_free W.
     """
     eps_schedule = sorted(set(float(e) for e in eps_schedule), reverse=True)
     if not eps_schedule:
@@ -136,11 +133,12 @@ def alpha_proj_limit(pair: OperatorPair, lam, eps_schedule) -> AlphaEstimate:
     if pair.k_dim == 0:
         diag = [(e, 0.0) for e in eps_schedule]
     else:
-        (w0, gv0), (w1, gv1) = _site_weights(pair)
+        rung = ladder_rung(pair)
+        g_full = rung.g_free @ rung.overlap
         diag = []
         for e in eps_schedule:
-            b0 = gv0[:, select_spectrum(w0, lam - e, lam + e)]
-            b1 = gv1[:, select_spectrum(w1, lam - e, lam + e)]
+            b0 = rung.g_free[:, select_spectrum(rung.free, lam - e, lam + e)]
+            b1 = g_full[:, select_spectrum(rung.full, lam - e, lam + e)]
             diag.append((e, (np.pi / (2.0 * e)) * float(np.linalg.norm(b0.T @ pair.j @ b1, 2))))
     if len(diag) >= 2:
         (e1, v1), (e2, v2) = diag[-2], diag[-1]
@@ -151,28 +149,20 @@ def alpha_proj_limit(pair: OperatorPair, lam, eps_schedule) -> AlphaEstimate:
                          route="proj_limit", diagnostics=tuple(diag))
 
 
-def _site_weights(pair):
-    # H0's and H's eigenvalues, each with G times its eigenvectors, which are dropped on return
-    if one_site_at_origin(pair):
-        sec = even_sector(pair)
-        root = pair.g[0, pair.spec.site_index(0)]        # sqrt|v|; psi_j(0) = |z|^T W
-        return ((sec.free, root * sec.weight[None, :]),
-                (sec.full, root * (sec.weight @ sec.overlap)[None, :]))
-    return tuple((dec.eigenvalues, pair.g @ dec.eigenvectors)
-                 for dec in (eig(pair, which) for which in ("free", "full")))
-
-
-def _b4_residual_norm(v0n, v1n):
+def _b4_residual_norm(v1n, k0):
     """Power-iteration norm of D^2 - E0- E+ E0- - E0+ E- E0+ (complementary splits).
 
-    With E0+ = I - E0- and E+ = I - E- the identity is algebraically exact,
-    so this measures pure roundoff.  All factors act as matvecs through the
-    low-rank eigenvector blocks; 60 iterations from a seeded random start.
+    In H0's eigenbasis E0- keeps the first k0 entries and E- = v1n v1n^T, for
+    H's eigenvectors v1n below lambda.  With E0+ = I - E0- and E+ = I - E- the
+    identity is algebraically exact, so this measures pure roundoff.  All
+    factors act as matvecs; 60 iterations from a seeded random start.
     """
-    n = v0n.shape[0]
+    n = v1n.shape[0]
 
     def p0(x):
-        return v0n @ (v0n.T @ x)
+        y = x.copy()
+        y[k0:] = 0.0
+        return y
 
     def p1(x):
         return v1n @ (v1n.T @ x)
@@ -225,16 +215,13 @@ def transient_filter(cloud, prev_cloud, move_tol=None):
 def d_spectrum_ladders(spec: ModelSpec, lams, n_list) -> tuple:
     """d_spectrum_ladder for every lambda in lams, one EssSpectrumEstimate each.
 
-    Each rung is built and decomposed once, by the route opcore.ladder_rung
-    picks from the pair.  A one-site V at lattice1d site 0 takes the even
-    sector (opcore.even_sector): H0's eigenvalues in closed form, one
-    eigvals_only solve of the (N+1)-site half chain, and the overlap W of the
-    eigenvectors as a Cauchy matrix, so no n x n eigenvector set is formed.
-    Every other pair takes opcore.eigendecompose_pair (H0 in closed form, one
-    solve of H).  The cloud of every lambda is the singular values of two
-    cross blocks of the overlap, which pcfunc's single-jump ladders share; the
-    D^2 residual acts through the blocks below lambda (in the sector basis, it
-    measures W's orthogonality defect).
+    Each rung is built and decomposed once (opcore.ladder_rung, which chooses
+    the route from the pair), and every lambda reads only the rung: its spectra
+    and the overlap W = Phi^T Psi in H0's eigenbasis.  The cloud of every lambda
+    is the singular values of two cross blocks of W (Rung.difference_spectrum,
+    which pcfunc's single-jump ladders share).  The D^2 residual acts through
+    W[:, :k1] and the first k0 coordinates, so it measures W's orthogonality
+    defect.
     """
     return _ladders(spec, lams, n_list)
 
@@ -259,7 +246,8 @@ def _ladders(spec, lams, n_list):
     for n in n_list:
         rung = ladder_rung(build_model(replace(spec, n_half=n)))
         for i, lam in enumerate(lams):
-            residuals[i].append(_b4_residual_norm(*rung.blocks(lam)))
+            residuals[i].append(_b4_residual_norm(rung.overlap[:, :count_below(rung.full, lam)],
+                                                  count_below(rung.free, lam)))
             clouds[i].append(rung.difference_spectrum(lam))
     return tuple(_ess_estimate(lam, n_list, c, r) for lam, c, r in zip(lams, clouds, residuals))
 

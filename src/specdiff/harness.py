@@ -125,13 +125,17 @@ def _fatal_diagnostics(config: ExperimentConfig):
 def validate(config: ExperimentConfig):
     """Static configuration diagnostics; no computation, nothing thrown.
 
-    Includes advisory warnings (band-edge grid points) on top of the
+    Includes advisory warnings (band-edge grid points, and the jumps of a
+    phi_check symbol that predicted_ess_spectrum rejects) on top of the
     structural checks that would stop a run.
     """
     diags = _fatal_diagnostics(config)
     if config.model.kind == "lattice1d" and config.kind != "d_ladder":
         diags += [f"lambda={lam} within band_margin of the spectral edge"
                   for lam in config.lambda_grid if not in_band(lam)]
+    if config.kind == "phi_check" and config.phi is not None:
+        diags += [f"jump at {loc} within band_margin of the spectral edge"
+                  for loc in config.phi.singsupp() if not in_band(loc)]
     return diags
 
 

@@ -4,14 +4,16 @@ Builds the finite truncations of the perturbed/unperturbed pair (H0, H), H0
 stored as its bands, with the factorization V = G^T J G, and provides the one
 eigensolver of a pair (eig, which takes H0's eigenpairs in closed form from
 hopping_eigenpairs and solves only H), the one band rule (in_band), the one
-singular-value routine (leading_singvals), spectral projections, the spectrum
-of a projection difference from two cross blocks (difference_spectrum) and
-functions of operators phi(H).  A ladder rung (ladder_rung) takes one of two
-routes, by one rule on the pair (one_site_at_origin): the even sector of a
-one-site V at lattice1d site 0 (even_sector: eigenvalues only, and the
-overlap of the eigenvectors as a Cauchy matrix), or the two whole
-decompositions (eigendecompose_pair), which stay the oracle.  Its thresholds
-are read from specdiff.tolerances.
+singular-value routine (leading_singvals), spectral projections and functions
+of operators phi(H).  A ladder rung (Rung) holds a pair in H0's eigenbasis:
+both spectra, the overlap W = Phi^T Psi of the eigenvectors and G Phi; its
+difference_spectrum gives the cloud of a projection difference from two cross
+blocks of W, and its difference gives phi(H) - phi(H0).  ladder_rung is the
+one place that chooses a rung's route, by one rule on the pair
+(one_site_at_origin): the even sector of a one-site V at lattice1d site 0
+(even_sector: eigenvalues only, and W as a Cauchy matrix), or H0's closed form
+and one solve of H.  The two whole decompositions (eigendecompose_pair) stay
+the oracle.  Its thresholds are read from specdiff.tolerances.
 """
 
 from __future__ import annotations
@@ -297,18 +299,10 @@ def eig(pair: OperatorPair, which: str, lo=-np.inf, hi=np.inf,
 
 
 class PairDecomposition(NamedTuple):
-    """The whole decompositions of H0 and H (eigendecompose_pair): the dense route of a rung."""
+    """The whole decompositions of H0 and H (eigendecompose_pair)."""
 
     free: SpectralDecomposition
     full: SpectralDecomposition
-
-    def blocks(self, hi, closed="neither"):
-        """Prefix views of H0's and H's eigenvectors below hi (spectral_block)."""
-        return tuple(spectral_block(dec.eigenvalues, dec.eigenvectors, hi, closed) for dec in self)
-
-    def difference_spectrum(self, hi, closed="neither"):
-        """The spectrum of E(-inf, hi) - E0(-inf, hi) (difference_spectrum)."""
-        return difference_spectrum(self.free, self.full, hi, closed)
 
 
 def eigendecompose_pair(pair: OperatorPair) -> PairDecomposition:
@@ -318,39 +312,50 @@ def eigendecompose_pair(pair: OperatorPair) -> PairDecomposition:
 
 
 @dataclass(frozen=True)
-class EvenSector:
-    """The even sector of a pair whose V is one site at lattice1d site 0 (even_sector).
+class Rung:
+    """The spectral data of one ladder rung (ladder_rung), in H0's eigenbasis phi_k.
 
-    free    -- the N + 1 eigenvalues lambda_k of H0 whose eigenvectors phi_k do
-               not vanish at site 0, ascending
-    full    -- the N + 1 eigenvalues mu_j of H on the same sector, ascending
-    weight  -- |phi_k(0)|, one per lambda_k
-    overlap -- W = Phi^T Psi on the sector (Fortran order), with each phi_k
-               signed so that phi_k(0) = weight[k]
-    dim     -- 2N + 1, the size of the whole space
-    blocks and difference_spectrum act as PairDecomposition's do, in the
-    sector basis phi_k; the odd sector, common to H0 and H, adds zeros.
+    free    -- H0's eigenvalues lambda_k, ascending
+    full    -- H's eigenvalues mu_j, ascending
+    overlap -- W = Phi^T Psi: column j is H's eigenvector psi_j in the phi_k basis
+    g_free  -- G Phi: G times H0's eigenvectors, one column per lambda_k
+    dim     -- the size of the whole space; rows past W's size stand for common
+               eigenvectors of H0 and H, which add zeros to every difference
     """
 
     free: np.ndarray
     full: np.ndarray
-    weight: np.ndarray
     overlap: np.ndarray
+    g_free: np.ndarray
     dim: int
 
-    def _counts(self, hi, closed):
-        return _count_below(self.free, hi, closed), _count_below(self.full, hi, closed)
-
-    def blocks(self, hi, closed="neither"):
-        """I[:, :k0] and W[:, :k1]: H0's and H's sector eigenvectors below hi, in the phi_k basis."""
-        k0, k1 = self._counts(hi, closed)
-        return np.eye(self.free.size, k0), self.overlap[:, :k1]
-
     def difference_spectrum(self, hi, closed="neither"):
-        """+sigma(W[k0:, :k1]) and -sigma(W[:k0, k1:]), padded with zeros to dim (difference_spectrum)."""
-        k0, k1 = self._counts(hi, closed)
+        """Ascending eigenvalues of E(-inf, hi) - E0(-inf, hi), dim of them, without forming it.
+
+        With k0, k1 the eigenvalue counts below hi (select_spectrum), the two
+        projections split the space into principal angles (Halmos' two
+        subspaces): the spectrum is +sigma(W[k0:, :k1]) and -sigma(W[:k0, k1:]),
+        padded with zeros to dim.  The +-1 eigenvalues are singular values too,
+        measured rather than set from k1 - k0; a hi below or above both spectra
+        gives empty blocks, and W = I (V = 0) gives exact zeros.
+        """
+        k0, k1 = count_below(self.free, hi, closed), count_below(self.full, hi, closed)
+        plus = np.linalg.svd(self.overlap[k0:, :k1], compute_uv=False)
+        minus = np.linalg.svd(self.overlap[:k0, k1:], compute_uv=False)
+        return np.concatenate([-minus, np.zeros(self.dim - plus.size - minus.size), plus[::-1]])
+
+    def difference(self, phi):
+        """phi(H) - phi(H0) in the rung basis: (W phi(mu)) W^T - diag(phi(lambda)).
+
+        phi is a pcfunc.PiecewiseFn.  The eigenvalues are first snapped to its
+        jump locations (snap_to_points), so that an eigenvalue on a jump takes
+        the left limit, whichever sign its roundoff has.
+        """
+        locs = [loc for loc, _, _ in phi.jumps]
         w = self.overlap
-        return _principal_angle_spectrum(w[k0:, :k1], w[:k0, k1:], self.dim)
+        d = (w * phi(snap_to_points(self.full, locs))) @ w.T
+        d[np.diag_indices_from(d)] -= phi(snap_to_points(self.free, locs))
+        return d
 
 
 def one_site_at_origin(pair: OperatorPair) -> bool:
@@ -359,29 +364,41 @@ def one_site_at_origin(pair: OperatorPair) -> bool:
     return pair.spec.kind == "lattice1d" and len(pot) == 1 and pot[0][0] == 0
 
 
-def ladder_rung(pair: OperatorPair):
-    """The spectral data of one ladder rung: even_sector(pair) if one_site_at_origin, else
-    eigendecompose_pair(pair).  Both give blocks(hi, closed) and difference_spectrum(hi, closed)."""
-    return even_sector(pair) if one_site_at_origin(pair) else eigendecompose_pair(pair)
+def ladder_rung(pair: OperatorPair) -> Rung:
+    """The Rung of a pair, and the one place that chooses its route.
+
+    A one-site V at lattice1d site 0 (one_site_at_origin) takes even_sector.
+    Every other pair takes H0's closed form and one solve of H
+    (eigendecompose_pair); W = Phi^T Psi is formed once (the identity when
+    V = 0, so that every cloud is exact zeros) and the eigenvectors are dropped.
+    """
+    if one_site_at_origin(pair):
+        return even_sector(pair)
+    free, full = eigendecompose_pair(pair)
+    basis = free.eigenvectors
+    overlap = np.eye(basis.shape[0]) if full is free else basis.T @ full.eigenvectors
+    return Rung(free=free.eigenvalues, full=full.eigenvalues, overlap=overlap,
+                g_free=pair.g @ basis, dim=pair.spec.dim)
 
 
-def even_sector(pair: OperatorPair) -> EvenSector:
-    """The even sector of a one-site V = v at lattice1d site 0, from eigenvalues alone.
+def even_sector(pair: OperatorPair) -> Rung:
+    """The Rung of a one-site V = v at lattice1d site 0 on its even sector, from eigenvalues alone.
 
     The reflection x -> -x splits R^(2N+1): V vanishes on the odd vectors, so
-    they are common eigenvectors of H0 and H and add nothing to D.  On the even
-    sector H0 has the closed form of hopping_even_sector, and H = Lambda +
-    v z z^T in H0's eigenbasis (z_k = |phi_k(0)|), whose eigenvalues mu_j come
-    from one eigvals_only solve of the half chain on sites 0..N (sqrt 2 on the
-    first bond, v at site 0).  Its eigenvectors are the columns of the Cauchy
-    matrix W_kj = zh_k / (lambda_k - mu_j), normalised, with the Loewner
-    weights zh_k^2 = prod_j (mu_j - lambda_k) / (v prod_{i != k} (lambda_i -
-    lambda_k)), summed in logs, for which the computed mu_j are exact
-    (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 15, 1994): W is orthogonal to
-    working accuracy, and the D^2 residual of a ladder measures its defect.
-    H0's sector spectrum is taken antisymmetric, (lambda - lambda[::-1]) / 2,
-    which keeps the closed form's bits and its exact 0 (even N) whatever
-    roundoff that eigenvalue is given, so W does not depend on it either.
+    they are common eigenvectors of H0 and H and add nothing to a difference.
+    On the even sector H0 has the closed form of hopping_even_sector, and H =
+    Lambda + v z z^T in H0's eigenbasis (z_k = |phi_k(0)|, each phi_k signed so
+    that phi_k(0) > 0), whose eigenvalues mu_j come from one eigvals_only solve
+    of the half chain on sites 0..N (sqrt 2 on the first bond, v at site 0).
+    Its eigenvectors are the columns of the Cauchy matrix W_kj = zh_k /
+    (lambda_k - mu_j), normalised, with the Loewner weights zh_k^2 = prod_j
+    (mu_j - lambda_k) / (v prod_{i != k} (lambda_i - lambda_k)), summed in logs,
+    for which the computed mu_j are exact (Gu & Eisenstat, SIAM J. Matrix Anal.
+    Appl. 15, 1994): W is orthogonal to working accuracy, and the D^2 residual
+    of a ladder measures its defect.  G Phi is sqrt|v| z.  H0's sector spectrum
+    is taken antisymmetric, (lambda - lambda[::-1]) / 2, which keeps the closed
+    form's bits and its exact 0 (even N) whatever roundoff that eigenvalue is
+    given, so W does not depend on it either.
     """
     from scipy import linalg            # looked up at call time, so it can be swapped
 
@@ -398,7 +415,8 @@ def even_sector(pair: OperatorPair) -> EvenSector:
     np.subtract.outer(lam, mu, out=w)
     np.divide(zhat[:, None], w, out=w)
     w /= np.sqrt(np.einsum("kj,kj->j", w, w))
-    return EvenSector(free=lam, full=mu, weight=z, overlap=w, dim=pair.spec.dim)
+    return Rung(free=lam, full=mu, overlap=w, g_free=np.sqrt(abs(v)) * z[None, :],
+                dim=pair.spec.dim)
 
 
 def _log_gaps(x, y):
@@ -450,14 +468,14 @@ def select_spectrum(w, lo=-np.inf, hi=np.inf, closed="neither") -> np.ndarray:
     return left & right
 
 
-def _count_below(w, hi, closed="neither") -> int:
-    # size of the prefix of the ascending whole spectrum w below hi (select_spectrum)
+def count_below(w, hi, closed="neither") -> int:
+    """The size of the prefix of the ascending whole spectrum w below hi (select_spectrum)."""
     return int(np.count_nonzero(select_spectrum(w, hi=hi, closed=closed)))
 
 
 def spectral_block(w, vecs, hi, closed="neither") -> np.ndarray:
     """Prefix view vecs[:, :k] of the eigenvectors for ascending w below hi (select_spectrum)."""
-    return vecs[:, :_count_below(w, hi, closed)]
+    return vecs[:, :count_below(w, hi, closed)]
 
 
 def projection_difference(b0: np.ndarray, b1: np.ndarray) -> np.ndarray:
@@ -465,33 +483,6 @@ def projection_difference(b0: np.ndarray, b1: np.ndarray) -> np.ndarray:
     d = b1 @ b1.T
     d -= b0 @ b0.T
     return d
-
-
-def difference_spectrum(dec0: SpectralDecomposition, dec1: SpectralDecomposition, hi,
-                        closed="neither") -> np.ndarray:
-    """Ascending eigenvalues of E1(-inf, hi) - E0(-inf, hi), both of size n, without forming it.
-
-    With Phi, Psi the eigenvectors of dec0, dec1 and k0, k1 the eigenvalue
-    counts below hi (select_spectrum), the two projections split R^n into
-    principal angles (Halmos' two subspaces): the spectrum is
-    +sigma(Phi[:, k0:]^T Psi[:, :k1]) and -sigma(Phi[:, :k0]^T Psi[:, k1:]),
-    padded with zeros to n.  The +-1 eigenvalues are singular values too,
-    measured rather than set from k1 - k0; a hi below or above both spectra
-    gives empty blocks, and one decomposition for both (V = 0) gives exact zeros.
-    """
-    phi, psi = dec0.eigenvectors, dec1.eigenvectors
-    if dec0 is dec1:
-        return np.zeros(phi.shape[0])
-    k0, k1 = (_count_below(dec.eigenvalues, hi, closed) for dec in (dec0, dec1))
-    return _principal_angle_spectrum(phi[:, k0:].T @ psi[:, :k1], phi[:, :k0].T @ psi[:, k1:],
-                                     phi.shape[0])
-
-
-def _principal_angle_spectrum(plus, minus, n):
-    # ascending: -sigma(minus), zeros up to n entries, +sigma(plus)
-    plus = np.linalg.svd(plus, compute_uv=False)
-    minus = np.linalg.svd(minus, compute_uv=False)
-    return np.concatenate([-minus, np.zeros(n - plus.size - minus.size), plus[::-1]])
 
 
 def spectral_projection(dec: SpectralDecomposition, lam: float) -> np.ndarray:

@@ -4,7 +4,10 @@ A symbol is a continuous background (vanishing preset) plus a finite list of
 step pieces; each jump at lambda_n contributes the segment
 [-alpha(lambda_n) kappa_n, +alpha(lambda_n) kappa_n] to the predicted
 essential spectrum of the difference phi(H) - phi(H0).  Empirical validation
-runs the same truncation ladders as the projection-difference analysis.
+runs the same truncation ladders as the projection-difference analysis, and
+reads only the rung (opcore.ladder_rung): a single step's cloud comes from
+Rung.difference_spectrum, every other symbol from Rung.difference, in H0's
+eigenbasis.  symbol_difference stays the dense site-basis oracle.
 """
 
 from __future__ import annotations
@@ -202,20 +205,11 @@ def symbol_difference(pair: OperatorPair, phi: PiecewiseFn) -> np.ndarray:
     * ||M||) of a jump location counts as equal to it and so takes the
     left limit, whichever sign its roundoff has (opcore.select_spectrum).
     Pure step symbols reduce to differences of eigenvector-block projections
-    onto the eigenvalues at most the jump location.  The ladders
-    (empirical_spectrum) take a single step's cloud from the rung's
-    difference_spectrum instead, as d_spectrum_ladder does, and form no n x n
-    matrix for it; when every symbol of a ladder is one step, a one-site V at
-    lattice1d site 0 takes opcore's even sector there, with no eigenvectors.
-    This function always forms the dense difference from both whole
-    decompositions.
+    onto the eigenvalues at most the jump location.  This is the dense oracle,
+    formed in the site basis from both whole decompositions; the ladders
+    (empirical_spectrum, cross_term_compactness) read the rung instead.
     """
-    return _difference(eigendecompose_pair(pair), phi)
-
-
-def _difference(decs, phi):
-    # symbol_difference from the (H0, H) decompositions, which serve every symbol of a rung
-    dec0, dec1 = decs
+    dec0, dec1 = eigendecompose_pair(pair)
     if phi.background == "zero" and phi.jumps:
         acc = None
         for loc, lo, hi in phi.jumps:
@@ -247,18 +241,16 @@ def empirical_spectrum(spec: ModelSpec, phi: PiecewiseFn, n_list) -> dict:
 
 
 def _spectra(spec, phis, n_list):
-    # empirical_spectrum for every symbol of phis, from one decomposition per rung; a rung
-    # that only serves single steps takes opcore.ladder_rung's route, else both decompositions
+    # empirical_spectrum for every symbol of phis, from one rung (opcore.ladder_rung) per N
     if not all(phi.is_real for phi in phis):
         raise SymbolError("complex symbols excluded from empirical validation "
                           "(difference non-normal; finite-section spectra unreliable)")
     n_list = tuple(int(n) for n in n_list)
     if not n_list or list(n_list) != sorted(n_list):
         raise SymbolError("n_list must be ascending and non-empty")
-    rung_of = ladder_rung if all(map(_is_step, phis)) else eigendecompose_pair
     clouds = [[] for _ in phis]
     for n in n_list:
-        rung = rung_of(build_model(replace(spec, n_half=n)))
+        rung = ladder_rung(build_model(replace(spec, n_half=n)))
         for c, phi in zip(clouds, phis):
             c.append(_cloud(rung, phi))
     return tuple({"n_list": n_list, "clouds": tuple(c),
@@ -267,16 +259,13 @@ def _spectra(spec, phis, n_list):
                  for c in clouds)
 
 
-def _is_step(phi):
-    return phi.background == "zero" and len(phi.jumps) == 1
-
-
 def _cloud(rung, phi):
     # ascending eigenvalues of phi(H) - phi(H0); one step is -kappa (E(-inf, loc] - E0(-inf, loc])
-    if _is_step(phi):
+    if phi.background == "zero" and len(phi.jumps) == 1:
         loc, lo, hi = phi.jumps[0]
         return np.sort(-(hi - lo).real * rung.difference_spectrum(loc, closed="right"))
-    return np.linalg.eigvalsh(_difference(rung, phi))
+    w = np.linalg.eigvalsh(rung.difference(phi))
+    return np.sort(np.concatenate([w, np.zeros(rung.dim - w.size)]))
 
 
 def accumulation_set(cloud, prev_cloud):
@@ -317,9 +306,9 @@ def cross_term_compactness(spec: ModelSpec, phi1: PiecewiseFn, phi2: PiecewiseFn
     dim = replace(spec, n_half=min(n_list)).dim
     if list(n_list) != sorted(n_list) or not 1 <= sv_index <= dim:
         raise SymbolError(f"n_list={n_list} must ascend and sv_index={sv_index} lie in 1..{dim}")
-    decs = (eigendecompose_pair(build_model(replace(spec, n_half=n))) for n in n_list)
-    rows = [leading_singvals(_difference(d, phi1), _difference(d, phi2), count=sv_index + 3)
-            for d in decs]
+    rungs = (ladder_rung(build_model(replace(spec, n_half=n))) for n in n_list)
+    rows = [leading_singvals(r.difference(phi1), r.difference(phi2), count=sv_index + 3)
+            for r in rungs]
     tracked = [float(r[sv_index - 1]) for r in rows]
     return {"n_list": n_list, "singular_values": tuple(rows),
             "tracked_index": sv_index, "tracked_values": tuple(tracked),

@@ -8,8 +8,7 @@ from specdiff.alpha import (AlphaError, AlphaEstimate, _b4_residual_norm, alpha_
                             alpha_proj_limit, alpha_smatrix, d_spectrum_ladder,
                             d_spectrum_ladders, fredholm_check, stilde_matrix,
                             transient_filter)
-from specdiff.opcore import (ModelSpec, build_model, eig, eigendecompose_pair,
-                             select_spectrum, spectral_block)
+from specdiff.opcore import ModelSpec, build_model, count_below, eig, ladder_rung, select_spectrum
 from specdiff.resolvent import boundary_value
 
 
@@ -245,14 +244,19 @@ def _b4_residual_reference(v0n, v1n, iters=60, seed=1234):
 
 
 def test_b4_residual_matches_the_reference_formula_bitwise():
-    pair = build_model(ModelSpec("lattice1d", 60, ((0, 1.0), (2, -0.5))))
-    for lam in (-1.0, 0.0, 0.3):
-        v0n, v1n = (spectral_block(dec.eigenvalues, dec.eigenvectors, lam)
-                    for dec in eigendecompose_pair(pair))
-        for a, b in ((v0n, v1n), (v0n.copy(), v1n.copy())):
-            assert _b4_residual_norm(a, b) == _b4_residual_reference(a, b)
+    # the rung-basis blocks I[:, :k0] and W[:, :k1] of a whole-route rung and of a sector rung;
+    # the residual applies the first as a prefix mask
+    for spec in (ModelSpec("lattice1d", 60, ((0, 1.0), (2, -0.5))),
+                 ModelSpec("lattice1d", 60, ((0, 1.0),))):
+        rung = ladder_rung(build_model(spec))
+        n = rung.overlap.shape[0]
+        for lam in (-1.0, 0.0, 0.3):
+            k0, k1 = count_below(rung.free, lam), count_below(rung.full, lam)
+            w1 = rung.overlap[:, :k1]
+            for b in (w1, w1.copy()):
+                assert _b4_residual_norm(b, k0) == _b4_residual_reference(np.eye(n, k0), b)
     empty = np.zeros((5, 0))
-    assert _b4_residual_norm(empty, empty) == _b4_residual_reference(empty, empty) == 0.0
+    assert _b4_residual_norm(empty, 0) == _b4_residual_reference(empty, empty) == 0.0
 
 
 def test_transient_filter_drops_movers():

@@ -65,6 +65,24 @@ def test_validate_diagnostics(tmp_path):
         ExperimentConfig.from_json(json.dumps(bad))
 
 
+def test_validate_warns_on_a_jump_out_of_band(tmp_path):
+    # predicted_ess_spectrum rejects a jump at or beyond 2 - BAND_MARGIN and the run ends
+    # partial; validate names each such jump up front, not one that carries no jump
+    phi = {"jumps": [{"lambda": -0.5, "left": [0, 0], "right": [1, 0]},
+                     {"lambda": 1.9, "left": [0, 0], "right": [0, 0]},
+                     {"lambda": 1.95, "left": [0, 0], "right": [1, 0]},
+                     {"lambda": 2.5, "left": [0, 0], "right": [0.5, 0]}]}
+    doc = _config(tmp_path, kind="phi_check", lambda_grid=[], phi=phi)
+    cfg = ExperimentConfig.from_json(json.dumps(doc))
+    assert validate(cfg) == [f"jump at {loc} within band_margin of the spectral edge"
+                             for loc in (1.95, 2.5)]
+    res = CliRunner().invoke(main, ["validate", "--config", _write(tmp_path, doc)])
+    assert res.exit_code == 1 and "jump at 1.95 within band_margin" in res.output
+    record = run(cfg)
+    assert record.status == "partial"
+    assert [e["type"] for e in record.errors] == ["SymbolError"]
+
+
 @pytest.mark.parametrize("kind", ["d_ladder", "phi_check"])
 def test_descending_n_list_is_a_fatal_diagnostic(tmp_path, kind):
     # the ladders refuse an n_list that does not ascend; validate and run say so up front

@@ -11,11 +11,10 @@ import pytest
 from specdiff.alpha import AlphaError, alpha_proj_limit, d_spectrum_ladders
 from specdiff.hankelmodel import build_l_operators
 from specdiff.harness import ExperimentConfig, run, validate
-from specdiff.opcore import (EvenSector, ModelError, ModelSpec, OperatorPair, apply_function,
-                             build_model, difference_spectrum, eig, eigendecompose,
-                             eigendecompose_pair, even_sector, ladder_rung, one_site_at_origin,
-                             projection_difference, select_spectrum, spectral_block,
-                             spectral_projection)
+from specdiff.opcore import (ModelError, ModelSpec, OperatorPair, Rung, apply_function,
+                             build_model, eig, eigendecompose, eigendecompose_pair, even_sector,
+                             ladder_rung, one_site_at_origin, projection_difference,
+                             select_spectrum, spectral_block, spectral_projection)
 from specdiff.pcfunc import PiecewiseFn, SymbolError, predicted_ess_spectrum, symbol_difference
 from specdiff.resolvent import ResolventError, boundary_value, stone_consistency, t0_of_z
 from specdiff.scatter1d import ScatteringError, smatrix_transfer
@@ -177,7 +176,7 @@ DIFFERENCE_CASES = [
 @pytest.mark.parametrize("spec, lam, closed", DIFFERENCE_CASES)
 def test_difference_spectrum_matches_the_dense_projection_difference(spec, lam, closed):
     pair = build_model(spec)
-    got = difference_spectrum(*eigendecompose_pair(pair), lam, closed)
+    got = ladder_rung(pair).difference_spectrum(lam, closed)
     ref = _dense_difference_spectrum(pair, lam, closed)
     assert got.shape == ref.shape == (spec.dim,)
     assert np.max(np.abs(got - ref)) <= 1e-12
@@ -192,7 +191,7 @@ def test_difference_spectrum_matches_the_dense_projection_difference(spec, lam, 
 def test_even_sector_cloud_matches_the_dense_oracle(spec, lam, closed):
     pair = build_model(spec)
     sec = ladder_rung(pair)
-    assert isinstance(sec, EvenSector)
+    assert isinstance(sec, Rung)
     assert sec.free.size == sec.full.size == spec.n_half + 1
     got = sec.difference_spectrum(lam, closed)
     ref = _dense_difference_spectrum(pair, lam, closed)
@@ -208,6 +207,28 @@ def test_even_sector_cloud_matches_the_dense_oracle(spec, lam, closed):
     assert np.array_equal(sec.free, whole.free.eigenvalues[::2])
     assert np.allclose(np.sort(np.concatenate([sec.full, whole.free.eigenvalues[odd]])),
                        whole.full.eigenvalues, rtol=0, atol=1e-12)
+
+
+SYMBOLS = (
+    PiecewiseFn(jumps=((-0.5, 0.0, 1.0), (0.0, 0.0, 0.5))),            # two jumps, one on 0
+    PiecewiseFn(jumps=((0.3, 0.0, 1.0),), background="gaussian_bump",
+                background_params=(0.5, 0.2, 0.8)),                    # a jump and a bump
+    PiecewiseFn(background="arctan_step_smoothed", background_params=(1.0, 0.0, 0.2)),
+)
+
+
+@pytest.mark.parametrize("spec", list(dict.fromkeys(case[0] for case in DIFFERENCE_CASES)))
+def test_rung_difference_matches_the_dense_symbol_difference(spec):
+    # phi(H) - phi(H0) in the rung basis, zeros for the rows past W's size, has the spectrum
+    # of the dense site-basis oracle
+    pair = build_model(spec)
+    rung = ladder_rung(pair)
+    for phi in SYMBOLS:
+        w = np.linalg.eigvalsh(rung.difference(phi))
+        got = np.sort(np.concatenate([w, np.zeros(rung.dim - w.size)]))
+        ref = np.linalg.eigvalsh(symbol_difference(pair, phi))
+        assert got.shape == ref.shape == (spec.dim,)
+        assert np.max(np.abs(got - ref)) <= 1e-12, phi
 
 
 def test_even_sector_overlap_is_orthogonal():
@@ -245,9 +266,10 @@ def test_other_pairs_keep_the_whole_decompositions(spec, monkeypatch):
     assert not one_site_at_origin(build_model(spec))
     ests = d_spectrum_ladders(spec, lams, n_list)
     for i, n in enumerate(n_list):
-        decs = eigendecompose_pair(build_model(replace(spec, n_half=n)))
+        pair = build_model(replace(spec, n_half=n))
         for lam, est in zip(lams, ests):
-            assert np.array_equal(est.eigenvalue_clouds[i], difference_spectrum(*decs, lam))
+            ref = _dense_difference_spectrum(pair, lam, "neither")
+            assert np.max(np.abs(est.eigenvalue_clouds[i] - ref)) <= 1e-12
     calls = _counting_solver(monkeypatch)
     d_spectrum_ladders(spec, lams, n_list)
     assert calls == ([False] * len(n_list) if spec.kind != "random_traceclass" else [])
@@ -256,14 +278,16 @@ def test_other_pairs_keep_the_whole_decompositions(spec, monkeypatch):
 def test_difference_spectrum_measures_plus_minus_one_and_zero_potential():
     # an attractive site binds a state below -2: rank E(-inf, 0.3) = rank E0(-inf, 0.3) + 1
     pair = build_model(ModelSpec("lattice1d", 80, ((0, -2.0),)))
-    got = difference_spectrum(*eigendecompose_pair(pair), 0.3)
+    got = ladder_rung(pair).difference_spectrum(0.3)
     assert np.sum(np.abs(got - 1.0) <= 1e-8) == 1 and np.sum(np.abs(got + 1.0) <= 1e-8) == 0
-    # V = 0: H shares H0's decomposition and D is exactly 0
+    # V = 0: H shares H0's decomposition, W is the identity and D is exactly 0
     pair = build_model(ModelSpec("lattice1d", 80))
     dec0, dec1 = eigendecompose_pair(pair)
     assert dec1 is dec0
+    rung = ladder_rung(pair)
+    assert np.array_equal(rung.overlap, np.eye(161))
     for lam in (-1.0, 0.0, 0.3):
-        assert np.array_equal(difference_spectrum(dec0, dec1, lam), np.zeros(161))
+        assert np.array_equal(rung.difference_spectrum(lam), np.zeros(161))
 
 
 def test_orthonormality_and_residual():

@@ -169,17 +169,30 @@ def test_cross_term_rejects_a_bad_ladder_or_index(n_list, sv_index):
         cross_term_compactness(SPEC, phi1, phi2, n_list, sv_index=sv_index)
 
 
-def test_cross_term_far_index_on_both_singular_value_routes():
-    # the 401 rung is decomposed densely, the 801 rung by ARPACK on the unformed product
+def test_cross_term_far_index_on_both_singular_value_routes(monkeypatch):
+    # a rung's product is taken densely up to 600 rows and by ARPACK on the unformed product
+    # above: the one-site rungs (201 and 401 rows in the even sector) take the dense SVD, and
+    # only the 801-row rung of the two-site input reaches ARPACK
+    import scipy.sparse.linalg
+    real, arpack = scipy.sparse.linalg.svds, []
+
+    def counting(op, *args, **kwargs):
+        arpack.append(op.shape)
+        return real(op, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "svds", counting)
     phi1 = PiecewiseFn(jumps=((-0.5, 0.0, 1.0),))
     phi2 = PiecewiseFn(jumps=((0.5, 0.0, 0.5),))
-    spec = ModelSpec("lattice1d", 200, ((0, 1.0),))
-    rep = cross_term_compactness(spec, phi1, phi2, (200, 400), sv_index=140)
-    assert [r.size for r in rep["singular_values"]] == [143, 143]
-    pair = build_model(ModelSpec("lattice1d", 400, ((0, 1.0),)))
-    dense = np.linalg.svd(symbol_difference(pair, phi1) @ symbol_difference(pair, phi2),
-                          compute_uv=False)[:143]
-    assert np.max(np.abs(rep["singular_values"][1] - dense)) <= 1e-12
+    for potential, shapes in ((((0, 1.0),), []), (((0, 1.0), (2, -0.5)), [(801, 801)])):
+        arpack.clear()
+        spec = ModelSpec("lattice1d", 200, potential)
+        rep = cross_term_compactness(spec, phi1, phi2, (200, 400), sv_index=140)
+        assert arpack == shapes, potential
+        assert [r.size for r in rep["singular_values"]] == [143, 143]
+        pair = build_model(ModelSpec("lattice1d", 400, potential))
+        dense = np.linalg.svd(symbol_difference(pair, phi1) @ symbol_difference(pair, phi2),
+                              compute_uv=False)[:143]
+        assert np.max(np.abs(rep["singular_values"][1] - dense)) <= 1e-12, potential
 
 
 def test_cross_term_continuous_partner_small():
@@ -235,11 +248,12 @@ def test_union_formula_matches_per_symbol_ladders_bitwise():
 
 
 def test_each_rung_is_decomposed_once_for_every_symbol(monkeypatch):
+    # a one-site V at site 0 takes the even sector for every symbol: one eigenvalues-only solve
     real = scipy.linalg.eigh_tridiagonal
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        calls.append(kwargs.get("eigvals_only", False))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counting)
@@ -255,7 +269,7 @@ def test_each_rung_is_decomposed_once_for_every_symbol(monkeypatch):
     for run in runs:
         calls.clear()
         run()
-        assert len(calls) == len(n_list)           # one solve of H; H0 in closed form
+        assert calls == [True] * len(n_list)       # one solve of H's sector; H0 in closed form
 
 
 def test_union_single_piece_distance_zero():

@@ -66,6 +66,22 @@ def test_only_opcore_reads_the_band_margin_and_calls_arpack():
             assert not reads and not imports, info.name
 
 
+def test_only_opcore_chooses_the_rung_route():
+    # the route rule and the even sector it selects (opcore.ladder_rung) are named nowhere else
+    names = {"one_site_at_origin", "even_sector", "hopping_even_sector"}
+    for info in pkgutil.iter_modules(specdiff.__path__):
+        module = importlib.import_module(f"specdiff.{info.name}")
+        tree = ast.parse(inspect.getsource(module))
+        refs = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(tree)
+                if isinstance(node, (ast.Name, ast.Attribute))}
+        refs |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                 for alias in node.names}
+        if info.name == "opcore":
+            assert names <= refs
+        else:
+            assert not names & refs, info.name
+
+
 def _pair():
     return build_model(ModelSpec("lattice1d", 50, ((0, 0.5),)))
 
