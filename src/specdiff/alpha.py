@@ -8,6 +8,12 @@ D = E(-inf,lambda) - E0(-inf,lambda) along a ladder of truncations, and
 d_spectrum_ladders does so for many lambda from one decomposition per rung.
 The ladders and alpha_proj_limit read only the rung (opcore.ladder_rung),
 which chooses its route from the pair.
+
+psd_sqrt, alpha_derivative, stilde_matrix, alpha_smatrix and fredholm_check
+take the BoundaryValue of one lambda or of a lambda batch (stacked matrices,
+resolvent.boundary_value); for a batch their values are arrays, one entry per
+lambda, and every check runs on every point and raises with the message of the
+first point that fails.
 """
 
 from __future__ import annotations
@@ -17,8 +23,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tolerances as tol
-from .opcore import (ModelSpec, OperatorPair, build_model, count_below, in_band, ladder_rung,
-                     select_spectrum)
+from .opcore import (ModelSpec, OperatorPair, build_model, count_below, first_true, in_band,
+                     ladder_rung, select_spectrum, unbatch)
 from .resolvent import BoundaryValue
 
 
@@ -28,16 +34,21 @@ class AlphaError(ValueError):
 
 @dataclass(frozen=True)
 class AlphaEstimate:
+    """alpha at one lambda, or at each lambda of a batch (lam and value are then arrays)."""
+
     lam: float
     value: float
     route: str
     diagnostics: tuple = ()
 
     def __post_init__(self):
-        if self.value < -tol.ALPHA_FLOOR:
-            raise AlphaError(f"negative alpha {self.value}")
-        if self.value > 1.0 + tol.ALPHA_CAP:
-            raise AlphaError(f"alpha {self.value} exceeds the unit cap")
+        value = np.ravel(self.value)
+        i = first_true(value < -tol.ALPHA_FLOOR)
+        if i is not None:
+            raise AlphaError(f"negative alpha {value[i]}")
+        i = first_true(value > 1.0 + tol.ALPHA_CAP)
+        if i is not None:
+            raise AlphaError(f"alpha {value[i]} exceeds the unit cap")
 
 
 @dataclass(frozen=True)
@@ -68,30 +79,40 @@ class EssSpectrumEstimate:
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:
-    """Symmetric square root with negative eigenvalues down to -tol.PSD_FLOOR clamped at zero."""
+    """Symmetric square root with negative eigenvalues down to -tol.PSD_FLOOR clamped at zero.
+
+    m is one matrix or a stack of them; each is checked.
+    """
     if m.size == 0:
         return m.copy()
-    w, v = np.linalg.eigh((m + m.T) / 2)
-    if w.min() < -tol.PSD_FLOOR:
-        raise AlphaError(f"matrix not PSD (min eigenvalue {w.min():.3e})")
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+    w, v = np.linalg.eigh((m + np.swapaxes(m, -1, -2)) / 2)
+    w_min = w.min(axis=-1)
+    i = first_true(w_min < -tol.PSD_FLOOR)
+    if i is not None:
+        raise AlphaError(f"matrix not PSD (min eigenvalue {np.ravel(w_min)[i]:.3e})")
+    return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.swapaxes(v, -1, -2)
+
+
+def _zeros(bv):
+    # the value of an empty support: 0 at every lambda of bv
+    return unbatch(np.zeros(np.shape(bv.lam)))
 
 
 def alpha_derivative(bv: BoundaryValue, j: np.ndarray) -> AlphaEstimate:
     """alpha(lambda) = pi ||F0'(lambda)^(1/2) J F'(lambda)^(1/2)||."""
-    if bv.f0p.size == 0:
-        return AlphaEstimate(lam=bv.lam, value=0.0, route="derivative")
+    if bv.t0.size == 0:
+        return AlphaEstimate(lam=bv.lam, value=_zeros(bv), route="derivative")
     m = psd_sqrt(bv.f0p) @ j @ psd_sqrt(bv.fp)
-    value = np.pi * float(np.linalg.norm(m, 2))
-    return AlphaEstimate(lam=bv.lam, value=value, route="derivative",
+    value = np.pi * np.linalg.norm(m, 2, axis=(-2, -1))
+    return AlphaEstimate(lam=bv.lam, value=unbatch(value), route="derivative",
                          diagnostics=(("err_estimate", bv.err_estimate),))
 
 
 def stilde_matrix(bv: BoundaryValue, j: np.ndarray) -> np.ndarray:
     """Unitary S-tilde(lambda) = I - 2i B0^(1/2) (J - J T J) B0^(1/2)."""
-    k = bv.b0.shape[0]
+    k = bv.t0.shape[-1]
     if k == 0:
-        return np.zeros((0, 0), dtype=complex)
+        return np.zeros(bv.t0.shape, dtype=complex)
     root = psd_sqrt(bv.b0)
     return np.eye(k) - 2j * root @ (j - j @ bv.t @ j) @ root
 
@@ -99,16 +120,17 @@ def stilde_matrix(bv: BoundaryValue, j: np.ndarray) -> np.ndarray:
 def alpha_smatrix(bv: BoundaryValue, j: np.ndarray) -> AlphaEstimate:
     """alpha(lambda) = ||S-tilde(lambda) - I|| / 2, with unitarity asserted."""
     st = stilde_matrix(bv, j)
-    k = st.shape[0]
+    k = st.shape[-1]
     if k == 0:
-        return AlphaEstimate(lam=bv.lam, value=0.0, route="smatrix_tilde")
-    defect = float(np.linalg.norm(st.conj().T @ st - np.eye(k), 2))
-    if defect > tol.UNITARITY:
-        raise AlphaError(f"S-tilde unitarity defect {defect:.3e}: "
+        return AlphaEstimate(lam=bv.lam, value=_zeros(bv), route="smatrix_tilde")
+    defect = np.linalg.norm(np.swapaxes(st.conj(), -1, -2) @ st - np.eye(k), 2, axis=(-2, -1))
+    i = first_true(defect > tol.UNITARITY)
+    if i is not None:
+        raise AlphaError(f"S-tilde unitarity defect {np.ravel(defect)[i]:.3e}: "
                          "boundary values inconsistent")
-    value = 0.5 * float(np.linalg.norm(st - np.eye(k), 2))
-    return AlphaEstimate(lam=bv.lam, value=value, route="smatrix_tilde",
-                         diagnostics=(("unitarity_defect", defect),))
+    value = 0.5 * np.linalg.norm(st - np.eye(k), 2, axis=(-2, -1))
+    return AlphaEstimate(lam=bv.lam, value=unbatch(value), route="smatrix_tilde",
+                         diagnostics=(("unitarity_defect", unbatch(defect)),))
 
 
 def alpha_proj_limit(pair: OperatorPair, lam, eps_schedule) -> AlphaEstimate:
@@ -276,15 +298,17 @@ def fredholm_check(bv: BoundaryValue, j: np.ndarray) -> dict:
     sigma_min_1 = smallest singular value of I - A(lambda) J; both must land
     on the same side of tol.KERNEL_TOL.
     """
-    k = bv.a0.shape[0]
+    k = bv.t0.shape[-1]
     if k == 0:
-        return {"sigma_min_0": 1.0, "sigma_min_1": 1.0, "fredholm": True}
-    s0 = float(np.linalg.svd(np.eye(k) + bv.a0 @ j, compute_uv=False).min())
-    s1 = float(np.linalg.svd(np.eye(k) - bv.a @ j, compute_uv=False).min())
+        one = _zeros(bv) + 1.0
+        return {"sigma_min_0": one, "sigma_min_1": one, "fredholm": one > tol.KERNEL_TOL}
+    s0 = np.linalg.svd(np.eye(k) + bv.a0 @ j, compute_uv=False).min(axis=-1)
+    s1 = np.linalg.svd(np.eye(k) - bv.a @ j, compute_uv=False).min(axis=-1)
     side0 = s0 > tol.KERNEL_TOL
     side1 = s1 > tol.KERNEL_TOL
-    if side0 != side1:
+    i = first_true(side0 != side1)
+    if i is not None:
         raise AlphaError(
-            f"Fredholm equivalence violated: sigma_min_0={s0:.3e}, "
-            f"sigma_min_1={s1:.3e} straddle kernel_tol={tol.KERNEL_TOL:.1e}")
-    return {"sigma_min_0": s0, "sigma_min_1": s1, "fredholm": side0}
+            f"Fredholm equivalence violated: sigma_min_0={np.ravel(s0)[i]:.3e}, "
+            f"sigma_min_1={np.ravel(s1)[i]:.3e} straddle kernel_tol={tol.KERNEL_TOL:.1e}")
+    return {"sigma_min_0": unbatch(s0), "sigma_min_1": unbatch(s1), "fredholm": unbatch(side0)}

@@ -201,10 +201,17 @@ def _errors(lams, exc):
 
 
 def _sweep(config, emit, record, filename, header, rows_fn):
-    """Rows of rows_fn(pair, bv, lam) over the lambda grid, from one built model.
+    """Rows of rows_fn(pair, bv, lams) over the lambda grid, from one built model.
 
-    A point that raises is recorded and the rest still run; if the model
-    cannot be built, every point is recorded.  The CSV is written either way.
+    The grid runs in batches of consecutive points.  A batch is one
+    boundary_value call on the array of its lambda, and rows_fn evaluates the
+    whole batch at once.  A batch holds at most max(1, (dim // k)^2) points, so
+    that its stacked k x k arrays hold no more entries than one dim x dim
+    matrix (one point per batch when V is dense, k = dim).  A batch that raises
+    is split in halves and each half retried, down to single points: a point
+    that raises is recorded with its own error and the rest still run.  If the
+    model cannot be built, every point is recorded.  Rows and errors keep grid
+    order, and the CSV is written either way.
     """
     rows = []
     try:
@@ -212,34 +219,49 @@ def _sweep(config, emit, record, filename, header, rows_fn):
     except Exception as exc:
         record.errors.extend(_errors(config.lambda_grid, exc))
     else:
-        for lam in config.lambda_grid:
-            try:
-                rows.extend(rows_fn(pair, boundary_value(pair, lam), lam))
-            except Exception as exc:
-                record.errors.extend(_errors((lam,), exc))
+        grid = config.lambda_grid
+        size = max(1, (pair.spec.dim // max(pair.k_dim, 1)) ** 2)
+        for start in range(0, len(grid), size):
+            _sweep_batch(pair, grid[start:start + size], rows_fn, rows, record.errors)
     emit.write(filename, _csv(header, rows))
     record.results["rows"] = len(rows)
 
 
-def _alpha_rows(pair, bv, lam):
-    return [(lam, est.route, est.value, bv.err_estimate, bv.route)
-            for est in (alpha_derivative(bv, pair.j), alpha_smatrix(bv, pair.j))]
+def _sweep_batch(pair, lams, rows_fn, rows, errors):
+    try:
+        rows.extend(rows_fn(pair, boundary_value(pair, np.array(lams)), lams))
+    except Exception as exc:
+        if len(lams) == 1:
+            errors.extend(_errors(lams, exc))
+            return
+        half = len(lams) // 2
+        _sweep_batch(pair, lams[:half], rows_fn, rows, errors)
+        _sweep_batch(pair, lams[half:], rows_fn, rows, errors)
 
 
-def _fredholm_rows(pair, bv, lam):
+def _alpha_rows(pair, bv, lams):
+    ests = (alpha_derivative(bv, pair.j), alpha_smatrix(bv, pair.j))
+    values = [est.value.tolist() for est in ests]
+    errs = bv.err_estimate.tolist()
+    return [(lam, est.route, value[i], errs[i], bv.route)
+            for i, lam in enumerate(lams) for est, value in zip(ests, values)]
+
+
+def _fredholm_rows(pair, bv, lams):
     chk = fredholm_check(bv, pair.j)
-    return [(lam, chk["sigma_min_0"], chk["sigma_min_1"], int(chk["fredholm"]),
-             alpha_derivative(bv, pair.j).value)]
+    return list(zip(lams, chk["sigma_min_0"].tolist(), chk["sigma_min_1"].tolist(),
+                    chk["fredholm"].astype(int).tolist(),
+                    alpha_derivative(bv, pair.j).value.tolist()))
 
 
-def _scattering_rows(pair, bv, lam):
-    sc = smatrix_transfer(pair.spec.potential, lam)
+def _scattering_rows(pair, bv, lams):
+    sc = smatrix_transfer(pair.spec.potential, bv.lam)
     s_stat = smatrix_stationary(pair, bv)
     alpha_d = alpha_derivative(bv, pair.j).value
-    half_s = 0.5 * float(np.linalg.norm(sc.s - np.eye(2), 2))
-    half_stat = 0.5 * float(np.linalg.norm(s_stat - np.eye(2), 2))
-    return [(lam, abs(sc.t), abs(sc.r_plus), 2 * half_s, 2 * half_stat,
-             alpha_d, abs(half_s - alpha_d))]
+    half_s = 0.5 * np.linalg.norm(sc.s - np.eye(2), 2, axis=(-2, -1))
+    half_stat = 0.5 * np.linalg.norm(s_stat - np.eye(2), 2, axis=(-2, -1))
+    return list(zip(lams, abs(sc.t).tolist(), abs(sc.r_plus).tolist(), (2 * half_s).tolist(),
+                    (2 * half_stat).tolist(), alpha_d.tolist(), abs(half_s - alpha_d).tolist()))
 
 
 def _run_d_ladder(config, emit, record):

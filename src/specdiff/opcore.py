@@ -207,13 +207,34 @@ def build_model(spec: ModelSpec) -> OperatorPair:
 
 
 def in_band(lam) -> bool:
-    """|lambda| < 2 - tol.BAND_MARGIN: inside the band (-2, 2) of H0, where S(lambda) exists."""
+    """|lambda| < 2 - tol.BAND_MARGIN: inside the band (-2, 2) of H0, where S(lambda) exists.
+
+    Elementwise for an array of lambda.
+    """
     return abs(lam) < 2.0 - tol.BAND_MARGIN
 
 
 def near_band_edge(lam) -> bool:
-    """Whether a real lambda lies within tol.BAND_MARGIN of a band edge +-2, on either side."""
-    return not in_band(lam) and abs(lam) <= 2.0 + tol.BAND_MARGIN
+    """Whether a real lambda lies within tol.BAND_MARGIN of a band edge +-2, on either side.
+
+    Elementwise for an array of lambda.
+    """
+    return np.logical_not(in_band(lam)) & (abs(lam) <= 2.0 + tol.BAND_MARGIN)
+
+
+def first_true(mask):
+    """Index of the first true entry of a boolean scalar or array, or None.
+
+    The functions that take a lambda batch check every point at once and raise
+    with the message of the first point that fails.
+    """
+    hit = np.flatnonzero(mask)
+    return int(hit[0]) if hit.size else None
+
+
+def unbatch(x):
+    """A result without a batch axis as a Python scalar; one with a batch axis unchanged."""
+    return x.item() if np.ndim(x) == 0 else x
 
 
 def is_tridiagonal(pair: OperatorPair) -> bool:

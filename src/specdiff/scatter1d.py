@@ -4,6 +4,12 @@ The transfer-matrix route propagates plane waves across the compactly
 supported potential and is the independent ground truth; the stationary route
 rebuilds the 2x2 scattering matrix from the boundary-value data through
 S = I - 2 pi i Z (J - J T J) Z^* with pi Z^* Z = B0.
+
+Both routes take one lambda or a lambda batch: smatrix_transfer a 1-D array
+of lambda, whose site recurrence then runs on every lambda at once, and
+smatrix_stationary the BoundaryValue of a batch (resolvent.boundary_value).
+A batch gives a stack of 2 x 2 matrices, and every check runs on every point
+and raises with the message of the first point that fails.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .opcore import OperatorPair, in_band
+from .opcore import OperatorPair, first_true, in_band, unbatch
 from .resolvent import BoundaryValue
 
 
@@ -23,6 +29,8 @@ class ScatteringError(ValueError):
 
 @dataclass(frozen=True)
 class LatticeScattering:
+    """S(lambda) at one lambda, or at each lambda of a batch (fields are then arrays, s a stack)."""
+
     lam: float
     kappa: float
     t: complex
@@ -31,13 +39,15 @@ class LatticeScattering:
     s: np.ndarray
 
     def __post_init__(self):
-        defect = np.linalg.norm(self.s.conj().T @ self.s - np.eye(2), 2)
-        if defect > tol.SCATTERING_UNITARITY:
-            raise ScatteringError(f"S matrix unitarity defect {defect:.3e}")
+        s = self.s
+        defect = np.linalg.norm(np.swapaxes(s.conj(), -1, -2) @ s - np.eye(2), 2, axis=(-2, -1))
+        i = first_true(defect > tol.SCATTERING_UNITARITY)
+        if i is not None:
+            raise ScatteringError(f"S matrix unitarity defect {np.ravel(defect)[i]:.3e}")
 
 
 def _propagate(potential, lam, kappa, incoming_right):
-    """Plane-wave matching across the support; returns (t, r)."""
+    """Plane-wave matching across the support; returns (t, r), elementwise in lam and kappa."""
     sites = {int(s): float(v) for s, v in potential}
     a = min(sites) if sites else 0
     b = max(sites) if sites else 0
@@ -67,21 +77,27 @@ def _propagate(potential, lam, kappa, incoming_right):
 
 
 def smatrix_transfer(potential, lam) -> LatticeScattering:
-    """Transfer-matrix S(lambda) for a compactly supported lattice potential."""
-    if not in_band(lam):
-        raise ScatteringError(f"lambda={lam} too close to the band edge")
-    kappa = float(np.arccos(lam / 2.0))
+    """Transfer-matrix S(lambda) for a compactly supported lattice potential.
+
+    lam is one lambda or a 1-D array of them.
+    """
+    lam = np.asarray(lam, dtype=float)
+    i = first_true(np.logical_not(in_band(lam)))
+    if i is not None:
+        raise ScatteringError(f"lambda={lam.flat[i]} too close to the band edge")
+    kappa = np.arccos(lam / 2.0)
     potential = [(int(s), float(v)) for s, v in potential if float(v) != 0.0]
     if not potential:
-        return LatticeScattering(lam=float(lam), kappa=kappa, t=1.0 + 0j,
-                                 r_plus=0j, r_minus=0j, s=np.eye(2, dtype=complex))
-    t_l, r_plus = _propagate(potential, lam, kappa, incoming_right=False)
-    t_r, r_minus = _propagate(potential, lam, kappa, incoming_right=True)
-    if abs(t_l - t_r) > tol.RECIPROCITY:
-        raise ScatteringError("transmission reciprocity violated")
-    s = np.array([[t_l, r_minus], [r_plus, t_l]], dtype=complex)
-    return LatticeScattering(lam=float(lam), kappa=kappa, t=t_l,
-                             r_plus=r_plus, r_minus=r_minus, s=s)
+        t_l = np.ones(lam.shape, dtype=complex)
+        r_plus = r_minus = np.zeros(lam.shape, dtype=complex)
+    else:
+        t_l, r_plus = _propagate(potential, lam, kappa, incoming_right=False)
+        t_r, r_minus = _propagate(potential, lam, kappa, incoming_right=True)
+        if np.any(abs(t_l - t_r) > tol.RECIPROCITY):
+            raise ScatteringError("transmission reciprocity violated")
+    s = np.stack([np.stack([t_l, r_minus], axis=-1), np.stack([r_plus, t_l], axis=-1)], axis=-2)
+    return LatticeScattering(lam=unbatch(lam), kappa=unbatch(kappa), t=t_l[()],
+                             r_plus=r_plus[()], r_minus=r_minus[()], s=s)
 
 
 def smatrix_stationary(pair: OperatorPair, bv: BoundaryValue) -> np.ndarray:
@@ -94,17 +110,20 @@ def smatrix_stationary(pair: OperatorPair, bv: BoundaryValue) -> np.ndarray:
         raise ScatteringError("stationary route requires closed-form boundary values")
     if pair.spec.kind != "lattice1d":
         raise ScatteringError("stationary route requires a lattice1d pair")
+    batch = np.shape(bv.lam)
     if pair.k_dim == 0:
-        return np.eye(2, dtype=complex)
-    kappa = float(np.arccos(bv.lam / 2.0))
+        return np.tile(np.eye(2, dtype=complex), batch + (1, 1))
+    kappa = np.arccos(np.asarray(bv.lam) / 2.0)[..., None, None]
     sites, g = pair.support()
     norm = 1.0 / np.sqrt(4.0 * np.pi * np.sin(kappa))
-    z = np.vstack([
+    z = np.concatenate([
         norm * np.exp(-1j * kappa * sites) * g,
         norm * np.exp(+1j * kappa * sites) * g,
-    ])
-    c6_defect = np.linalg.norm(np.pi * z.conj().T @ z - bv.b0, 2)
-    if c6_defect > tol.STATIONARY_Z_NORMALIZATION:
-        raise ScatteringError(f"pi Z*Z = B0 violated ({c6_defect:.3e})")
+    ], axis=-2)
+    zh = np.swapaxes(z.conj(), -1, -2)
+    c6_defect = np.linalg.norm(np.pi * zh @ z - bv.b0, 2, axis=(-2, -1))
+    i = first_true(c6_defect > tol.STATIONARY_Z_NORMALIZATION)
+    if i is not None:
+        raise ScatteringError(f"pi Z*Z = B0 violated ({np.ravel(c6_defect)[i]:.3e})")
     core = pair.j - pair.j @ bv.t @ pair.j
-    return np.eye(2) - 2j * np.pi * z @ core @ z.conj().T
+    return np.eye(2) - 2j * np.pi * z @ core @ zh

@@ -371,3 +371,156 @@ def test_threads_option_takes_effect_before_numpy_loads(tmp_path):
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["config", "ok", "1"]
+
+
+SWEEP_HEADERS = {kind: _DISPATCH_HEADER for kind, _DISPATCH_HEADER in
+                 ((k, harness._DISPATCH[k][0].keywords["header"]) for k in SWEEP_KINDS)}
+# the columns computed from the transfer-matrix S, whose scalar and array arithmetic
+# round differently: abs_t, abs_r, norm_S_minus_I, discrepancy
+TRANSFER_COLUMNS = (1, 2, 3, 6)
+BATCH_CASES = {
+    "lattice1d": ({"kind": "lattice1d", "n_half": 50,
+                   "potential": [[-2, 0.5], [0, -1.0], [3, 0.25]], "decay_rate": None, "seed": 0},
+                  list(np.linspace(-1.85, 1.85, 61)) + [-1.0, 0.0, 0.7]),
+    "jacobi": ({"kind": "jacobi", "n_half": 20, "potential": [[0, 0.5], [2, -0.7]],
+                "decay_rate": None, "seed": 0}, list(np.linspace(-1.7, 1.7, 9))),
+    "zero_potential": (dict(MODEL, potential=[]), list(np.linspace(-1.85, 1.85, 21))),
+    "random_traceclass": ({"kind": "random_traceclass", "n_half": 40, "potential": [],
+                           "decay_rate": 1.5, "seed": 2}, list(np.linspace(-1.7, 1.7, 7))),
+}
+
+
+def _point_rows(kind, pair, lam):
+    """One grid point's rows from scalar calls: the per-point body the batch replaced."""
+    from specdiff.alpha import alpha_derivative, alpha_smatrix, fredholm_check
+    from specdiff.resolvent import boundary_value
+    from specdiff.scatter1d import smatrix_stationary, smatrix_transfer
+    bv = boundary_value(pair, lam)
+    if kind == "alpha_sweep":
+        return [(lam, est.route, est.value, bv.err_estimate, bv.route)
+                for est in (alpha_derivative(bv, pair.j), alpha_smatrix(bv, pair.j))]
+    if kind == "fredholm_sweep":
+        chk = fredholm_check(bv, pair.j)
+        return [(lam, chk["sigma_min_0"], chk["sigma_min_1"], int(chk["fredholm"]),
+                 alpha_derivative(bv, pair.j).value)]
+    sc = smatrix_transfer(pair.spec.potential, lam)
+    s_stat = smatrix_stationary(pair, bv)
+    alpha_d = alpha_derivative(bv, pair.j).value
+    half_s = 0.5 * float(np.linalg.norm(sc.s - np.eye(2), 2))
+    half_stat = 0.5 * float(np.linalg.norm(s_stat - np.eye(2), 2))
+    return [(lam, abs(sc.t), abs(sc.r_plus), 2 * half_s, 2 * half_stat,
+             alpha_d, abs(half_s - alpha_d))]
+
+
+def _point_by_point(kind, model, grid):
+    """(CSV lines, errors) of the grid evaluated one scalar lambda at a time."""
+    pair = opcore.build_model(opcore.ModelSpec.from_json(json.dumps(model)))
+    rows, errors = [], []
+    for lam in grid:
+        try:
+            rows.extend(_point_rows(kind, pair, lam))
+        except Exception as exc:
+            errors.append({"lambda": lam, "error": str(exc), "type": type(exc).__name__})
+    return harness._csv(SWEEP_HEADERS[kind], rows).splitlines(), errors
+
+
+def _assert_same_rows(kind, got, want):
+    assert got[0] == want[0] and len(got) == len(want)
+    for line, ref in zip(got[1:], want[1:]):
+        if kind != "scattering_compare":
+            assert line == ref
+            continue
+        cells, ref_cells = line.split(","), ref.split(",")
+        for col, (x, y) in enumerate(zip(cells, ref_cells)):
+            if col in TRANSFER_COLUMNS:
+                assert abs(float(x) - float(y)) <= 1e-15, (col, x, y)
+            else:
+                assert x == y, (col, x, y)
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+@pytest.mark.parametrize("kind", SWEEP_KINDS)
+def test_a_sweep_batch_equals_its_points(tmp_path, kind, case):
+    # closed form, extrapolated route, k = 0 and a dense V (one point per batch): the
+    # batched run writes the rows and errors of scalar calls, bit for bit outside the
+    # transfer-matrix columns
+    model, grid = BATCH_CASES[case]
+    doc = _config(tmp_path, kind=kind, model=model, lambda_grid=[float(x) for x in grid])
+    cfg = ExperimentConfig.from_json(json.dumps(doc))
+    record = run(cfg)
+    lines, errors = _point_by_point(kind, model, cfg.lambda_grid)
+    assert record.errors == errors
+    _assert_same_rows(kind, (tmp_path / "out" / f"{kind}.csv").read_text().splitlines(), lines)
+    assert record.results["rows"] == len(lines) - 1
+
+
+def _cond_and_defect(pair, grid):
+    from specdiff.alpha import alpha_smatrix
+    from specdiff.resolvent import boundary_value
+    bv = boundary_value(pair, np.array(grid))
+    cond = np.linalg.cond(np.eye(pair.k_dim) + bv.t0 @ pair.j)
+    return cond, dict(alpha_smatrix(bv, pair.j).diagnostics)["unitarity_defect"]
+
+
+def test_failing_points_inside_a_batch_are_recorded_as_single_point_runs(tmp_path,
+                                                                          monkeypatch):
+    # thresholds between the grid's own cond(I + T0 J) and S-tilde unitarity defects
+    # make some points fail inside one batch; 2.5 fails at the band edge
+    model, grid = BATCH_CASES["lattice1d"]
+    grid = [float(x) for x in grid]
+    pair = opcore.build_model(opcore.ModelSpec.from_json(json.dumps(model)))
+    cond, defect = _cond_and_defect(pair, grid)
+    monkeypatch.setattr(tol, "RESONANCE_COND", float(np.quantile(cond, 0.8)))
+    monkeypatch.setattr(tol, "UNITARITY", float(np.sort(defect)[len(grid) // 3]))
+    grid.insert(len(grid) // 2, 2.5)
+    record = run(ExperimentConfig.from_json(json.dumps(
+        _config(tmp_path, model=model, lambda_grid=grid))))
+
+    single_errors, single_lines = [], []
+    for i, lam in enumerate(grid):
+        one = run(ExperimentConfig.from_json(json.dumps(
+            _config(tmp_path, model=model, lambda_grid=[lam],
+                    output_dir=str(tmp_path / f"p{i}")))))
+        single_errors.extend(one.errors)
+        single_lines.extend((tmp_path / f"p{i}" / "alpha_sweep.csv").read_text().splitlines()[1:])
+    assert {e["type"] for e in record.errors} == {"ResonanceError", "AlphaError",
+                                                  "ResolventError"}
+    assert 0 < len(record.errors) < len(grid)
+    assert record.errors == single_errors
+    assert (tmp_path / "out" / "alpha_sweep.csv").read_text().splitlines()[1:] == single_lines
+
+
+def _counting_boundary_value(monkeypatch):
+    sizes = []
+    original = harness.boundary_value
+
+    def counting(pair, lam, route="auto"):
+        sizes.append(np.size(lam))
+        return original(pair, lam, route)
+
+    monkeypatch.setattr(harness, "boundary_value", counting)
+    return sizes
+
+
+@pytest.mark.parametrize("kind", SWEEP_KINDS)
+def test_a_passing_grid_is_one_boundary_value_call(tmp_path, monkeypatch, kind):
+    sizes = _counting_boundary_value(monkeypatch)
+    doc = _config(tmp_path, kind=kind, lambda_grid={"min": -1.8, "max": 1.8, "count": 200})
+    record = run(ExperimentConfig.from_json(json.dumps(doc)))
+    assert record.status == "complete" and record.results["rows"] >= 200
+    assert sizes == [200]
+
+
+def test_batch_size_rule(tmp_path, monkeypatch):
+    # at most (dim // k)^2 points per batch: one point when V is dense (k = dim),
+    # 1089 = (101 // 3)^2 for three sites on 101
+    sizes = _counting_boundary_value(monkeypatch)
+    model, grid = BATCH_CASES["random_traceclass"]
+    run(ExperimentConfig.from_json(json.dumps(
+        _config(tmp_path, model=model, lambda_grid=[float(x) for x in grid]))))
+    assert sizes == [1] * len(grid)
+    sizes.clear()
+    doc = _config(tmp_path, model=BATCH_CASES["lattice1d"][0], output_dir=str(tmp_path / "l"),
+                  lambda_grid={"min": -1.8, "max": 1.8, "count": 1200})
+    assert run(ExperimentConfig.from_json(json.dumps(doc))).status == "complete"
+    assert sizes == [1089, 111]
