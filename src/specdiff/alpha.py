@@ -7,7 +7,9 @@ on finite truncations.  d_spectrum_ladder tracks the eigenvalue cloud of
 D = E(-inf,lambda) - E0(-inf,lambda) along a ladder of truncations, and
 d_spectrum_ladders does so for many lambda from one decomposition per rung.
 The ladders and alpha_proj_limit read only the rung (opcore.ladder_rung),
-which chooses its route from the pair.
+which chooses its route from the pair.  E0 is an exact prefix mask in the rung
+basis, so the D^2 identity residual is Q^2 - Q for E = Q, in closed form from
+the Gram matrix of the rung's eigenvector block W[:, :k1] (_b4_residual_norm).
 
 psd_sqrt, alpha_derivative, stilde_matrix, alpha_smatrix and fredholm_check
 take the BoundaryValue of one lambda or of a lambda batch (stacked matrices,
@@ -171,45 +173,16 @@ def alpha_proj_limit(pair: OperatorPair, lam, eps_schedule) -> AlphaEstimate:
                          route="proj_limit", diagnostics=tuple(diag))
 
 
-def _b4_residual_norm(v1n, k0):
-    """Power-iteration norm of D^2 - E0- E+ E0- - E0+ E- E0+ (complementary splits).
+def _b4_residual_norm(w1):
+    """2-norm of D^2 - E0- E+ E0- - E0+ E- E0+ (complementary splits), in closed form.
 
-    In H0's eigenbasis E0- keeps the first k0 entries and E- = v1n v1n^T, for
-    H's eigenvectors v1n below lambda.  With E0+ = I - E0- and E+ = I - E- the
-    identity is algebraically exact, so this measures pure roundoff.  All
-    factors act as matvecs; 60 iterations from a seeded random start.
+    In H0's eigenbasis E0- is a prefix mask P and E- = Q = w1 w1^T, w1 = W[:, :k1].
+    P is exactly idempotent, so with E0+ = I - P and E+ = I - Q the residual is
+    Q^2 - Q = w1 (G - I) w1^T, G = w1^T w1, whatever P is: its 2-norm is
+    max |g (g - 1)| over the eigenvalues g of G, w1's orthogonality defect.
     """
-    n = v1n.shape[0]
-
-    def p0(x):
-        y = x.copy()
-        y[k0:] = 0.0
-        return y
-
-    def p1(x):
-        return v1n @ (v1n.T @ x)
-
-    def resid(x):
-        p0x = p0(x)
-        dx = p1(x) - p0x
-        t1 = p1(dx) - p0(dx)                # D^2 x
-        t2 = p0x - p0(p1(p0x))              # E0- E+ E0- x with E+ = I - E-
-        p1xm = p1(x - p0x)
-        t3 = p1xm - p0(p1xm)                # E0+ E- E0+ x
-        return t1 - t2 - t3
-
-    rng = np.random.default_rng(1234)
-    x = rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-    est = 0.0
-    for _ in range(60):
-        y = resid(x)
-        nrm = np.linalg.norm(y)
-        if nrm == 0.0:
-            return 0.0
-        est = nrm
-        x = y / nrm
-    return float(est)
+    g = np.linalg.eigvalsh(w1.T @ w1)
+    return float(np.max(np.abs(g * (g - 1.0)), initial=0.0))
 
 
 def nearest_distances(x, points):
@@ -241,9 +214,9 @@ def d_spectrum_ladders(spec: ModelSpec, lams, n_list) -> tuple:
     the route from the pair), and every lambda reads only the rung: its spectra
     and the overlap W = Phi^T Psi in H0's eigenbasis.  The cloud of every lambda
     is the singular values of two cross blocks of W (Rung.difference_spectrum,
-    which pcfunc's single-jump ladders share).  The D^2 residual acts through
-    W[:, :k1] and the first k0 coordinates, so it measures W's orthogonality
-    defect.
+    which pcfunc's single-jump ladders share).  E0 is an exact prefix mask, so
+    the D^2 residual is Q^2 - Q for Q = W1 W1^T, W1 = W[:, :k1]: W's
+    orthogonality defect, from the eigenvalues of W1^T W1 (_b4_residual_norm).
     """
     return _ladders(spec, lams, n_list)
 
@@ -268,8 +241,7 @@ def _ladders(spec, lams, n_list):
     for n in n_list:
         rung = ladder_rung(build_model(replace(spec, n_half=n)))
         for i, lam in enumerate(lams):
-            residuals[i].append(_b4_residual_norm(rung.overlap[:, :count_below(rung.full, lam)],
-                                                  count_below(rung.free, lam)))
+            residuals[i].append(_b4_residual_norm(rung.overlap[:, :count_below(rung.full, lam)]))
             clouds[i].append(rung.difference_spectrum(lam))
     return tuple(_ess_estimate(lam, n_list, c, r) for lam, c, r in zip(lams, clouds, residuals))
 
@@ -277,8 +249,7 @@ def _ladders(spec, lams, n_list):
 def _ess_estimate(lam, n_list, clouds, residuals) -> EssSpectrumEstimate:
     filtered = transient_filter(clouds[-1], clouds[-2])
     alpha_emp = float(np.max(np.abs(filtered))) if filtered.size else 0.0
-    inner = np.sort(filtered[np.abs(filtered) <= alpha_emp + tol.FILL_BAND])
-    fill = float(np.max(np.diff(inner))) if inner.size >= 2 else 0.0
+    fill = float(np.max(np.diff(filtered))) if filtered.size >= 2 else 0.0
     plus = int(np.sum(np.abs(clouds[-1] - 1.0) <= tol.PM_ONE))
     minus = int(np.sum(np.abs(clouds[-1] + 1.0) <= tol.PM_ONE))
     return EssSpectrumEstimate(lam=lam, n_list=n_list,

@@ -110,8 +110,14 @@ def _fatal_diagnostics(config: ExperimentConfig):
     _, needs_grid = _DISPATCH[config.kind]
     if needs_grid and not config.lambda_grid:
         diags.append("lambda_grid is empty")
-    if config.kind == "d_ladder" and len(config.n_list) < 3:
-        diags.append("d_ladder needs at least 3 truncation sizes")
+    if config.kind == "d_ladder":
+        if len(config.n_list) < 3:
+            diags.append("d_ladder needs at least 3 truncation sizes")
+        by_name = {}
+        for lam in config.lambda_grid:
+            by_name.setdefault(_d_ladder_name(lam), []).append(lam)
+        diags += [f"lambda {lams} all write {name}"
+                  for name, lams in by_name.items() if len(lams) > 1]
     if config.kind in ("d_ladder", "phi_check") and list(config.n_list) != sorted(config.n_list):
         diags.append(f"n_list {list(config.n_list)} must be ascending")
     if config.kind == "phi_check" and config.phi is None:
@@ -264,10 +270,14 @@ def _scattering_rows(pair, bv, lams):
                     (2 * half_stat).tolist(), alpha_d.tolist(), abs(half_s - alpha_d).tolist()))
 
 
+def _d_ladder_name(lam):
+    return f"d_ladder_lambda_{lam:+.6g}.json"
+
+
 def _run_d_ladder(config, emit, record):
     ests = d_spectrum_ladders(config.model, config.lambda_grid, config.n_list)
     for lam, est in zip(config.lambda_grid, ests):
-        emit.write(f"d_ladder_lambda_{lam:+.6g}.json", est.to_json())
+        emit.write(_d_ladder_name(lam), est.to_json())
 
 
 def _run_phi_check(config, emit, record):

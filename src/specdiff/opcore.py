@@ -161,16 +161,6 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
 
 
-def _diag_factorization(v_diag):
-    support = np.flatnonzero(v_diag)
-    k = len(support)
-    n = len(v_diag)
-    g = np.zeros((k, n))
-    g[np.arange(k), support] = np.sqrt(np.abs(v_diag[support]))
-    j = np.diag(np.sign(v_diag[support])) if k else np.zeros((0, 0))
-    return g, j
-
-
 def build_model(spec: ModelSpec) -> OperatorPair:
     """Construct the operator pair for a model specification.
 
@@ -187,8 +177,10 @@ def build_model(spec: ModelSpec) -> OperatorPair:
         v = np.zeros(n)
         for site, value in spec.potential:
             v[spec.site_index(site)] = value
-        g, j = _diag_factorization(v)
-        return OperatorPair(h0=h0, v=v, g=g, j=j, spec=spec)
+        support = np.flatnonzero(v)
+        g = np.zeros((support.size, n))
+        g[np.arange(support.size), support] = np.sqrt(np.abs(v[support]))
+        return OperatorPair(h0=h0, v=v, g=g, j=np.diag(np.sign(v[support])), spec=spec)
 
     # random_traceclass: deterministic eigenvalue sequence, seeded conjugation
     rng = np.random.default_rng(spec.seed)
@@ -235,10 +227,6 @@ def first_true(mask):
 def unbatch(x):
     """A result without a batch axis as a Python scalar; one with a batch axis unchanged."""
     return x.item() if np.ndim(x) == 0 else x
-
-
-def is_tridiagonal(pair: OperatorPair) -> bool:
-    return pair.spec.kind in ("lattice1d", "jacobi")
 
 
 def eigendecompose(m: np.ndarray) -> SpectralDecomposition:
@@ -308,7 +296,7 @@ def eig(pair: OperatorPair, which: str, lo=-np.inf, hi=np.inf,
         raise ModelError(f"unknown operator {which!r}")
     if which == "free" or not pair.v.any():
         dec = hopping_eigenpairs(pair.h0.shape[1])
-    elif is_tridiagonal(pair):
+    elif pair.v.ndim == 1:              # the diagonal V of lattice1d and jacobi
         w, vecs = linalg.eigh_tridiagonal(pair.h0[0] + pair.v, pair.h0[1, :-1])
         dec = SpectralDecomposition(eigenvalues=w, eigenvectors=vecs)
     else:

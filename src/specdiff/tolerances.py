@@ -29,7 +29,6 @@ EPS_N_MIN = 50.0                  # projection windows: eps * N >= EPS_N_MIN
 TRANSIENT_MOVE = 0.1              # ladder clouds: farther moves between rungs are transients
 PM_ONE = 1e-6                     # eigenvalues of D this close to +-1 count as +-1
 ACCUMULATION = 0.02               # accumulation set: reproduced within this at the last rung
-FILL_BAND = 1e-12                 # fill distance: filtered cloud up to alpha_empirical + FILL_BAND
 BIG_EIGENVALUE = 0.1              # big_counts: eigenvalues of phi(H) - phi(H0) beyond this
 DIRECTION_MERGE = 1e-14           # segment union: unit directions this close are one direction
 RECIPROCITY = 1e-10               # transfer matrix: |t_left - t_right| above this raises
@@ -37,7 +36,7 @@ CARLEMAN_HYPOTHESIS = 1e-12       # Hankel kernels: |K(t)| <= C/t + CARLEMAN_HYP
 CARLEMAN_BOUND = 1e-6             # the Carleman bound holds if ||K|| <= pi C + CARLEMAN_BOUND
 GRID_SPAN = 1e12                  # Hankel grids span (T / GRID_SPAN, T)
 
-__version__ = 5                   # of the table: raised whenever a key or a value changes
+__version__ = 6                   # of the table: raised whenever a key or a value changes
 
 
 def table():

@@ -243,9 +243,20 @@ def _b4_residual_reference(v0n, v1n, iters=60, seed=1234):
     return float(est)
 
 
-def test_b4_residual_matches_the_reference_formula_bitwise():
+def _identity_residual_dense(k0, w1):
+    # ||D^2 - P (I - Q) P - (I - P) Q (I - P)||_2 with P the prefix mask and Q = w1 w1^T
+    n = w1.shape[0]
+    p = np.diag((np.arange(n) < k0).astype(float))
+    q = w1 @ w1.T
+    d = q - p
+    eye = np.eye(n)
+    return np.linalg.norm(d @ d - p @ (eye - q) @ p - (eye - p) @ q @ (eye - p), 2)
+
+
+def test_b4_residual_is_the_norm_of_the_d2_identity_residual():
     # the rung-basis blocks I[:, :k0] and W[:, :k1] of a whole-route rung and of a sector rung;
-    # the residual applies the first as a prefix mask
+    # the closed form against the dense identity residual and the power iteration, on W[:, :k1]
+    # (roundoff) and on W[:, :k1] (I + delta diag(d)) (a defect with one dominant direction)
     for spec in (ModelSpec("lattice1d", 60, ((0, 1.0), (2, -0.5))),
                  ModelSpec("lattice1d", 60, ((0, 1.0),))):
         rung = ladder_rung(build_model(spec))
@@ -253,10 +264,16 @@ def test_b4_residual_matches_the_reference_formula_bitwise():
         for lam in (-1.0, 0.0, 0.3):
             k0, k1 = count_below(rung.free, lam), count_below(rung.full, lam)
             w1 = rung.overlap[:, :k1]
-            for b in (w1, w1.copy()):
-                assert _b4_residual_norm(b, k0) == _b4_residual_reference(np.eye(n, k0), b)
-    empty = np.zeros((5, 0))
-    assert _b4_residual_norm(empty, 0) == _b4_residual_reference(empty, empty) == 0.0
+            values = [_b4_residual_norm(w1), _identity_residual_dense(k0, w1),
+                      _b4_residual_reference(np.eye(n, k0), w1)]
+            assert max(values) <= 1e-12
+            d = np.full(k1, 0.1)
+            d[k1 // 2] = 1.0
+            bent = w1 * (1.0 + 1e-6 * d)
+            value = _b4_residual_norm(bent)
+            assert value == pytest.approx(_identity_residual_dense(k0, bent), rel=1e-8)
+            assert value == pytest.approx(_b4_residual_reference(np.eye(n, k0), bent), rel=1e-6)
+    assert _b4_residual_norm(np.zeros((5, 0))) == 0.0
 
 
 def test_transient_filter_drops_movers():

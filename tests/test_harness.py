@@ -248,6 +248,23 @@ def test_d_ladder_records_one_error_per_lambda(tmp_path):
     assert set(record.files) == {"d_ladder_lambda_-1.json", "d_ladder_lambda_+0.7.json"}
 
 
+def test_d_ladder_artifact_name_collision_is_a_fatal_diagnostic(tmp_path):
+    # both lambda print as +0.123456 in the artifact name, so one file would hold only the second
+    doc = _config(tmp_path, kind="d_ladder", lambda_grid=[-1.0, 0.1234561, 0.1234562],
+                  n_list=[20, 40, 80])
+    cfg = ExperimentConfig.from_json(json.dumps(doc))
+    diag = "lambda [0.1234561, 0.1234562] all write d_ladder_lambda_+0.123456.json"
+    assert validate(cfg) == [diag]
+    with pytest.raises(ConfigError, match=r"lambda \[0.1234561, 0.1234562\]"):
+        run(cfg)
+    assert not (tmp_path / "out").exists()
+    res = CliRunner().invoke(main, ["ladder", "--config", _write(tmp_path, doc)])
+    assert res.exit_code == 1 and diag in res.output
+    assert not (tmp_path / "out").exists()
+    doc["lambda_grid"] = [-1.0, 0.123456, 0.12346]
+    assert validate(ExperimentConfig.from_json(json.dumps(doc))) == []
+
+
 def test_tolerance_table_reports_the_constants_in_force(tmp_path):
     table = tol.table()
     assert table["unitarity"] == tol.UNITARITY == 1e-6

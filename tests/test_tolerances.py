@@ -26,7 +26,7 @@ TABLE = {
     "stationary_z_normalization": 1e-9, "eps_n_min": 50.0, "transient_move": 0.1,
     "pm_one": 1e-6, "accumulation": 0.02,
     "symmetry": 1e-10, "grid_span": 1e12, "richardson_eps0": 0.1, "richardson_steps": 10,
-    "alpha_floor": 1e-10, "fill_band": 1e-12, "big_eigenvalue": 0.1, "direction_merge": 1e-14,
+    "alpha_floor": 1e-10, "big_eigenvalue": 0.1, "direction_merge": 1e-14,
     "reciprocity": 1e-10, "carleman_hypothesis": 1e-12, "carleman_bound": 1e-6,
 }
 
