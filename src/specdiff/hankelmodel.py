@@ -103,22 +103,27 @@ def build_l_operators(pair: OperatorPair, lam, n, t_max) -> dict:
     Spectra are translated so the reference point lambda sits at 0; the unit
     windows (0,1) for H0 and (-1,0) for H make every semigroup factor decay.
     Both windows are open in exact arithmetic (opcore.eig), so an eigenvalue
-    on lambda belongs to neither.
+    on lambda belongs to neither.  With L0 = v0 c0 and L = v1 c1 on the window
+    eigenvectors v0, v1, residual_b16 = ||v1 v1^T v0 v0^T + L J L0^T|| is the
+    top singular value of the k1 x k0 factor v1^T v0 + c1 J c0^T.
     """
     nodes, weights = graded_grid(n, t_max, tol.GRID_SPAN)
     cols = np.repeat(np.sqrt(weights), pair.k_dim)
 
     def semigroup(v, mu):
-        # column block i is sqrt(w_i) v e^{-t_i mu} v^T G^T: one product batched over the nodes
+        # column block i is sqrt(w_i) v e^{-t_i mu} v^T G^T: one product batched over the nodes,
+        # and the coefficients c of L = v c
         a = np.exp(-np.outer(nodes, mu))[:, :, None] * (v.T @ pair.g.T)
-        return (v @ a).transpose(1, 0, 2).reshape(v.shape[0], cols.size) * cols
+        coef = a.transpose(1, 0, 2).reshape(v.shape[1], cols.size) * cols
+        return (v @ a).transpose(1, 0, 2).reshape(v.shape[0], cols.size) * cols, coef
 
     dec0 = eig(pair, "free", lam, lam + 1.0)
     dec1 = eig(pair, "full", lam - 1.0, lam)
     v0, v1 = dec0.eigenvectors, dec1.eigenvectors
-    l0 = semigroup(v0, dec0.eigenvalues - lam)
-    l1 = semigroup(v1, lam - dec1.eigenvalues)
-    l1j = (l1.reshape(l1.shape[0], n, pair.k_dim) @ pair.j).reshape(l1.shape)   # J per node
-    residual = leading_singvals(v1 @ (v1.T @ v0) @ v0.T + l1j @ l0.T)[0]
+    l0, c0 = semigroup(v0, dec0.eigenvalues - lam)
+    l1, c1 = semigroup(v1, lam - dec1.eigenvalues)
+    c1j = (c1.reshape(c1.shape[0], n, pair.k_dim) @ pair.j).reshape(c1.shape)   # J per node
+    # v1 v1^T v0 v0^T + L J L0^T = v1 (v1^T v0 + c1 J c0^T) v0^T, and v0, v1 are orthonormal
+    residual = leading_singvals(v1.T @ v0 + c1j @ c0.T)[0]
     return {"L0": l0, "L": l1, "residual_b16": float(residual),
             "nodes": nodes, "weights": weights}

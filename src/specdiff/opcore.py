@@ -3,8 +3,9 @@
 Builds the finite truncations of the perturbed/unperturbed pair (H0, H), H0
 stored as its bands, with the factorization V = G^T J G, and provides the one
 eigensolver of a pair (eig, which takes H0's eigenpairs in closed form from
-hopping_eigenpairs and solves only H), the one band rule (in_band), the one
-singular-value routine (leading_singvals), spectral projections and functions
+hopping_eigenpairs and solves only H), the one band rule (in_band), the two
+singular-value routines (leading_singvals for the top k values, _floor_singvals
+for every value above a floor), spectral projections and functions
 of operators phi(H).  A ladder rung (Rung) holds a pair in H0's eigenbasis:
 both spectra, the overlap W = Phi^T Psi of the eigenvectors and G Phi; its
 difference_spectrum gives the cloud of a projection difference from two cross
@@ -344,13 +345,15 @@ class Rung:
         With k0, k1 the eigenvalue counts below hi (select_spectrum), the two
         projections split the space into principal angles (Halmos' two
         subspaces): the spectrum is +sigma(W[k0:, :k1]) and -sigma(W[:k0, k1:]),
-        padded with zeros to dim.  The +-1 eigenvalues are singular values too,
-        measured rather than set from k1 - k0; a hi below or above both spectra
-        gives empty blocks, and W = I (V = 0) gives exact zeros.
+        padded with zeros to dim.  The blocks are numerically of low rank, and
+        each is taken exact to tol.CLOUD_FLOOR (_floor_singvals).  The +-1
+        eigenvalues are singular values too, measured rather than set from
+        k1 - k0; a hi below or above both spectra gives empty blocks, and W = I
+        (V = 0) gives exact zeros.
         """
         k0, k1 = count_below(self.free, hi, closed), count_below(self.full, hi, closed)
-        plus = np.linalg.svd(self.overlap[k0:, :k1], compute_uv=False)
-        minus = np.linalg.svd(self.overlap[:k0, k1:], compute_uv=False)
+        plus = _floor_singvals(self.overlap[k0:, :k1])
+        minus = _floor_singvals(self.overlap[:k0, k1:])
         return np.concatenate([-minus, np.zeros(self.dim - plus.size - minus.size), plus[::-1]])
 
     def difference(self, phi):
@@ -537,3 +540,31 @@ def leading_singvals(*factors, count=1) -> np.ndarray:
         s = np.sort(svds(op, k=count, v0=np.full(shape[1], 1.0 / np.sqrt(shape[1])),
                          return_singular_vectors=False))[::-1]
     return np.concatenate([s, np.zeros(count - s.size)])
+
+
+def _floor_singvals(a) -> np.ndarray:
+    """All min(a.shape) singular values of a, descending, each within tol.CLOUD_FLOOR of exact.
+
+    A range basis Q grows from a fixed-seed Gaussian block, each new block with
+    one re-orthonormalised power step on the residual (Halko, Martinsson &
+    Tropp, SIAM Review 53, 2011), until ||a - Q Q^T a||_F <= tol.CLOUD_FLOOR.
+    Then sigma(Q^T a), padded with zeros, is within that floor of sigma(a) by
+    Weyl's inequality: a certificate, not a probability.  The basis starts at
+    32 columns and doubles while it fails, keeping its columns and residual;
+    once it would reach half the shorter side the dense SVD serves, so small
+    and full-rank matrices get its bits.
+    """
+    rng = np.random.default_rng(0)
+    q, rows, resid, width = np.empty((a.shape[0], 0)), [], a, 32
+    while 2 * width < min(a.shape):
+        y = np.linalg.qr(resid @ rng.standard_normal((a.shape[1], width - q.shape[1])))[0]
+        y = resid @ np.linalg.qr(resid.T @ y)[0]
+        y = np.linalg.qr(y - q @ (q.T @ y))[0]
+        rows.append(y.T @ resid)
+        resid = resid - y @ rows[-1]
+        q = np.hstack([q, y])
+        if np.linalg.norm(resid) <= tol.CLOUD_FLOOR:
+            s = np.linalg.svd(np.vstack(rows), compute_uv=False)
+            return np.concatenate([s, np.zeros(min(a.shape) - s.size)])
+        width *= 2
+    return np.linalg.svd(a, compute_uv=False)

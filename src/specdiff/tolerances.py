@@ -35,8 +35,9 @@ RECIPROCITY = 1e-10               # transfer matrix: |t_left - t_right| above th
 CARLEMAN_HYPOTHESIS = 1e-12       # Hankel kernels: |K(t)| <= C/t + CARLEMAN_HYPOTHESIS on the grid
 CARLEMAN_BOUND = 1e-6             # the Carleman bound holds if ||K|| <= pi C + CARLEMAN_BOUND
 GRID_SPAN = 1e12                  # Hankel grids span (T / GRID_SPAN, T)
+CLOUD_FLOOR = 1e-12               # rung cross-block singular values: exact to this (|W_kj| <= 1)
 
-__version__ = 6                   # of the table: raised whenever a key or a value changes
+__version__ = 7                   # of the table: raised whenever a key or a value changes
 
 
 def table():

@@ -224,3 +224,21 @@ def test_l_operators_match_the_node_loop(potential, lam, n, t_max, atol):
     l0, l1 = _l_operators_loop(pair, lam, n, t_max)
     assert np.max(np.abs(rec["L0"] - l0)) <= atol
     assert np.max(np.abs(rec["L"] - l1)) <= atol
+
+
+@pytest.mark.parametrize("potential, lam, n, t_max", [
+    (((0, 0.6), (1, -0.4)), 0.1, 200, 50.0),
+    (((0, -0.730385), (2, 0.869979)), -0.27838518821, 202, 196.930959),
+    (((0, 0.5),), -0.2, 200, 50.0),
+    (((0, 0.5),), 0.0, 400, 50.0),
+])
+def test_b16_residual_equals_the_whole_space_formula(potential, lam, n, t_max):
+    # the k1 x k0 factor v1^T v0 + c1 J c0^T has the norm of v1 v1^T v0 v0^T + L J L0^T
+    pair = build_model(ModelSpec("lattice1d", 500, potential))
+    rec = build_l_operators(pair, lam, n, t_max)
+    v0 = eig(pair, "free", lam, lam + 1.0).eigenvectors
+    v1 = eig(pair, "full", lam - 1.0, lam).eigenvectors
+    l1 = rec["L"]
+    l1j = (l1.reshape(l1.shape[0], n, pair.k_dim) @ pair.j).reshape(l1.shape)
+    whole = leading_singvals(v1 @ (v1.T @ v0) @ v0.T + l1j @ rec["L0"].T)[0]
+    assert rec["residual_b16"] == pytest.approx(whole, rel=1e-13, abs=0)

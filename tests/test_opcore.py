@@ -8,13 +8,15 @@ import scipy.linalg
 import numpy as np
 import pytest
 
+from specdiff import tolerances as tol
 from specdiff.alpha import AlphaError, alpha_proj_limit, d_spectrum_ladders
 from specdiff.hankelmodel import build_l_operators
 from specdiff.harness import ExperimentConfig, run, validate
-from specdiff.opcore import (ModelError, ModelSpec, OperatorPair, Rung, apply_function,
-                             build_model, eig, eigendecompose, eigendecompose_pair, even_sector,
-                             ladder_rung, one_site_at_origin, projection_difference,
-                             select_spectrum, spectral_block, spectral_projection)
+from specdiff.opcore import (ModelError, ModelSpec, OperatorPair, Rung, _floor_singvals,
+                             apply_function, build_model, count_below, eig, eigendecompose,
+                             eigendecompose_pair, even_sector, ladder_rung, one_site_at_origin,
+                             projection_difference, select_spectrum, spectral_block,
+                             spectral_projection)
 from specdiff.pcfunc import PiecewiseFn, SymbolError, predicted_ess_spectrum, symbol_difference
 from specdiff.resolvent import ResolventError, boundary_value, stone_consistency, t0_of_z
 from specdiff.scatter1d import ScatteringError, smatrix_transfer
@@ -152,10 +154,10 @@ def test_closed_form_free_eigenpairs_match_the_dense_oracle(spec):
                               2) <= 1e-13, lam
 
 
-def _dense_difference_spectrum(pair, lam, closed):
+def _dense_difference_spectrum(pair, lam, closed, decs=None):
     # the oracle: dense decompositions, the n x n D, and its eigvalsh
-    b0, b1 = (spectral_block(d.eigenvalues, d.eigenvectors, lam, closed)
-              for d in (eigendecompose(pair.dense(which)) for which in ("free", "full")))
+    decs = decs or [eigendecompose(pair.dense(which)) for which in ("free", "full")]
+    b0, b1 = (spectral_block(d.eigenvalues, d.eigenvectors, lam, closed) for d in decs)
     return np.linalg.eigvalsh(projection_difference(b0, b1))
 
 
@@ -207,6 +209,76 @@ def test_even_sector_cloud_matches_the_dense_oracle(spec, lam, closed):
     assert np.array_equal(sec.free, whole.free.eigenvalues[::2])
     assert np.allclose(np.sort(np.concatenate([sec.full, whole.free.eigenvalues[odd]])),
                        whole.full.eigenvalues, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec("lattice1d", 1000, ((0, 1.0),)),                 # one site: the even sector
+    ModelSpec("lattice1d", 500, ((0, 0.96), (1, 0.58))),       # two sites: the eigenvector route
+])
+def test_cloud_kernel_route_matches_the_dense_oracle(spec):
+    # cross blocks past the dense threshold take the certified kernel: exact to tol.CLOUD_FLOOR
+    pair = build_model(spec)
+    rung = ladder_rung(pair)
+    decs = [eigendecompose(pair.dense(which)) for which in ("free", "full")]
+    for lam in (-0.9, 0.0, 0.7):
+        k0, k1 = count_below(rung.free, lam), count_below(rung.full, lam)
+        assert min(rung.overlap[k0:, :k1].shape + rung.overlap[:k0, k1:].shape) > 64
+        got = rung.difference_spectrum(lam)
+        ref = _dense_difference_spectrum(pair, lam, "neither", decs)
+        assert np.max(np.abs(got - ref)) <= tol.CLOUD_FLOOR + 1e-14, lam
+        for one in (1.0, -1.0):
+            assert np.sum(np.abs(got - one) <= 1e-8) == np.sum(np.abs(ref - one) <= 1e-8)
+
+
+def _orthogonal(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.sign(np.diag(r))
+
+
+def _svd_shapes(monkeypatch):
+    real, shapes = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda a, *args, **kw: shapes.append(a.shape) or real(a, *args, **kw))
+    return shapes
+
+
+def test_cloud_kernel_is_exact_to_the_floor(monkeypatch):
+    # geometric singular values 0.6^i down to a tail at 1e-15: a 32-column basis misses
+    # values above the floor, the grown 64-column one does not
+    rng = np.random.default_rng(3)
+    s = np.maximum(0.6 ** np.arange(300), 1e-15)
+    a = (_orthogonal(rng, 400)[:, :300] * s) @ _orthogonal(rng, 300).T
+    exact = np.linalg.svd(a, compute_uv=False)
+    shapes = _svd_shapes(monkeypatch)
+    got = _floor_singvals(a)
+    assert shapes == [(64, 300)]
+    assert got.shape == exact.shape and np.all(np.diff(got) <= 0)
+    assert np.max(np.abs(got - exact)) <= tol.CLOUD_FLOOR
+    assert np.max(np.abs(got - s)) <= tol.CLOUD_FLOOR
+
+
+def test_cloud_kernel_gives_the_dense_bits_on_small_and_full_rank_blocks(monkeypatch):
+    rng = np.random.default_rng(4)
+    small = rng.standard_normal((64, 500)) * 0.3 ** np.arange(500)   # shorter side 64: dense
+    full = rng.standard_normal((300, 200))                           # full rank: basis outgrows
+    for a in (small, full, small.T):
+        assert np.array_equal(_floor_singvals(a), np.linalg.svd(a, compute_uv=False))
+    # one row more and the low-rank block takes the kernel
+    shapes = _svd_shapes(monkeypatch)
+    _floor_singvals(np.vstack([small, small[:1]]))
+    assert shapes == [(32, 500)]
+
+
+def test_cloud_kernel_is_deterministic_and_exact_on_empty_and_zero_blocks():
+    w = ladder_rung(build_model(ModelSpec("lattice1d", 1000, ((0, 1.0),)))).overlap
+    k = w.shape[0] // 2
+    first = _floor_singvals(w[k:, :k])
+    assert np.array_equal(first, _floor_singvals(w[k:, :k]))
+    for shape in ((0, 0), (0, 5), (5, 0)):
+        assert _floor_singvals(np.zeros(shape)).shape == (0,)
+    eye = np.eye(401)                                    # the W of V = 0
+    assert np.array_equal(_floor_singvals(eye[200:, :200]), np.zeros(200))
+    assert np.array_equal(_floor_singvals(eye[:200, 200:]), np.zeros(200))
 
 
 SYMBOLS = (

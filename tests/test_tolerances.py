@@ -17,8 +17,8 @@ from specdiff.opcore import ModelSpec, build_model, select_spectrum
 from specdiff.resolvent import ResolventError, boundary_value
 
 # the table's keys and values before it had a module of its own, the four
-# constants that were in force but missing from it, and the seven thresholds
-# that were inline literals
+# constants that were in force but missing from it, the seven thresholds
+# that were inline literals, and the floor of the rung cloud kernel
 TABLE = {
     "band_margin": 0.1, "spectral_point_ulps": 32, "psd_floor": 1e-10,
     "inversion_identity": 1e-9, "resonance_cond": 1e12, "alpha_cap": 1e-6,
@@ -28,6 +28,7 @@ TABLE = {
     "symmetry": 1e-10, "grid_span": 1e12, "richardson_eps0": 0.1, "richardson_steps": 10,
     "alpha_floor": 1e-10, "big_eigenvalue": 0.1, "direction_merge": 1e-14,
     "reciprocity": 1e-10, "carleman_hypothesis": 1e-12, "carleman_bound": 1e-6,
+    "cloud_floor": 1e-12,
 }
 
 
