@@ -3,25 +3,29 @@
 Builds the finite truncations of the perturbed/unperturbed pair (H0, H), H0
 stored as its bands, with the factorization V = G^T J G, and provides the one
 eigensolver of a pair (eig, which takes H0's eigenpairs in closed form from
-hopping_eigenpairs and solves only H), the one band rule (in_band), the two
-singular-value routines (leading_singvals for the top k values, _floor_singvals
-for every value above a floor), spectral projections and functions
-of operators phi(H).  A ladder rung (Rung) holds a pair in H0's eigenbasis:
-both spectra, the overlap W = Phi^T Psi of the eigenvectors and G Phi; its
-difference_spectrum gives the cloud of a projection difference from two cross
-blocks of W, and its difference gives phi(H) - phi(H0).  ladder_rung is the
-one place that chooses a rung's route, by one rule on the pair
-(one_site_at_origin): the even sector of a one-site V at lattice1d site 0
-(even_sector: eigenvalues only, and W as a Cauchy matrix), or H0's closed form
-and one solve of H.  The two whole decompositions (eigendecompose_pair) stay
-the oracle.  Its thresholds are read from specdiff.tolerances.
+hopping_eigenpairs and solves only H), the one closed form of H0's spectrum
+(hopping_eigenvalues), the one band rule (in_band), the two singular-value
+routines (leading_singvals for the top k values, _floor_singvals for every
+value above a floor, from the certified range basis of _floor_basis),
+spectral projections and functions of operators phi(H).  A ladder rung (Rung)
+holds a pair in H0's eigenbasis: both spectra, the overlap W = Phi^T Psi of
+the eigenvectors and G Phi.  Its difference_spectrum gives the cloud of a
+projection difference from two cross blocks of W; its mixed(phi) gives M =
+W o (phi(mu)^T - phi(lambda)), with phi(H) - phi(H0) = M W^T, and
+symbol_factor and symbol_spectrum take that difference's low-rank factor and
+its eigenvalues from a basis of M, certified to tol.CLOUD_FLOOR, without
+forming it.  ladder_rung is the one place that chooses a rung's route, by one
+rule on the pair (one_site_at_origin): the even sector of a one-site V at
+lattice1d site 0 (even_sector: eigenvalues only, and W as a Cauchy matrix),
+or H0's closed form and one solve of H, with W and G Phi as sine transforms.
+The two whole decompositions (eigendecompose_pair) stay the oracle.  Its
+thresholds are read from specdiff.tolerances.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -239,8 +243,16 @@ def eigendecompose(m: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=w, eigenvectors=vecs)
 
 
-def _two_cos(k, m):
-    # 2 cos(pi k / m) as a sine of an argument in [-pi/2, pi/2]: exact 0 at 2k = m, exact +- pairs
+def hopping_eigenvalues(n: int, stride: int = 1) -> np.ndarray:
+    """Eigenvalues 2 cos(pi k / m) of the n-site hopping chain, m = n + 1, ascending: every
+    stride-th k from k = n down.
+
+    Each is a sine of an argument in [-pi/2, pi/2], so 2k = m gives an exact 0 and the
+    eigenvalues come in exact +- pairs.  The one closed form of H0's spectrum: for the
+    whole chain (hopping_eigenpairs, ladder_rung) and its even sector (hopping_even_sector).
+    """
+    m = n + 1
+    k = np.arange(n, 0, -stride)
     return 2.0 * np.sin(np.pi * (m - 2 * k) / (2 * m))
 
 
@@ -259,12 +271,11 @@ def hopping_eigenpairs(n: int) -> SpectralDecomposition:
     half = np.sqrt(2.0 / m) * np.sin(np.pi * np.minimum(r, m - r) / m)
     table = np.concatenate([half, -half])                           # sin(pi r / m), r < 2m
     k = np.arange(n, 0, -1)
-    w = _two_cos(k, m)
     x = np.arange(1, n + 1)
     rows = np.empty((n, n))
     for start in range(0, n, 256):                                  # bounded integer scratch
         rows[start:start + 256] = table[np.outer(k[start:start + 256], x) % (2 * m)]
-    return SpectralDecomposition(eigenvalues=w, eigenvectors=rows.T)
+    return SpectralDecomposition(eigenvalues=hopping_eigenvalues(n), eigenvectors=rows.T)
 
 
 def hopping_even_sector(n_half: int):
@@ -276,7 +287,7 @@ def hopping_even_sector(n_half: int):
     hopping_eigenpairs(2N + 1) at its even ascending indices, with the same bits.
     """
     m = 2 * n_half + 2
-    return _two_cos(np.arange(m - 1, 0, -2), m), np.full(n_half + 1, np.sqrt(2.0 / m))
+    return hopping_eigenvalues(m - 1, 2), np.full(n_half + 1, np.sqrt(2.0 / m))
 
 
 def eig(pair: OperatorPair, which: str, lo=-np.inf, hi=np.inf,
@@ -356,18 +367,51 @@ class Rung:
         minus = _floor_singvals(self.overlap[:k0, k1:])
         return np.concatenate([-minus, np.zeros(self.dim - plus.size - minus.size), plus[::-1]])
 
-    def difference(self, phi):
-        """phi(H) - phi(H0) in the rung basis: (W phi(mu)) W^T - diag(phi(lambda)).
+    def mixed(self, phi):
+        """M = W o (phi(mu)^T - phi(lambda)): phi(H) - phi(H0) = M W^T in the rung basis.
 
-        phi is a pcfunc.PiecewiseFn.  The eigenvalues are first snapped to its
-        jump locations (snap_to_points), so that an eigenvalue on a jump takes
-        the left limit, whichever sign its roundoff has.
+        phi is a pcfunc.PiecewiseFn.  W diagonalises H in H0's eigenbasis, so
+        phi(H) - phi(H0) = W phi(mu) W^T - phi(lambda) = (W phi(mu) - phi(lambda) W) W^T,
+        the double operator integral of Birman and Solomyak, and M is one elementwise
+        product, Fortran-ordered for _floor_basis to overwrite.  The eigenvalues are first
+        snapped to phi's jump locations (snap_to_points), so that an eigenvalue on a jump
+        takes the left limit, whichever sign its roundoff has.
         """
         locs = [loc for loc, _, _ in phi.jumps]
-        w = self.overlap
-        d = (w * phi(snap_to_points(self.full, locs))) @ w.T
-        d[np.diag_indices_from(d)] -= phi(snap_to_points(self.free, locs))
-        return d
+        m = np.subtract(phi(snap_to_points(self.full, locs)),
+                        phi(snap_to_points(self.free, locs))[:, None],
+                        out=np.empty(self.overlap.shape, order="F"))
+        m *= self.overlap
+        return m
+
+    def symbol_factor(self, phi):
+        """(Q, B) with ||phi(H) - phi(H0) - Q B||_F <= tol.CLOUD_FLOOR / 2, Q orthonormal.
+
+        In the rung basis D = phi(H) - phi(H0) = M W^T (mixed), numerically of low
+        rank.  Q is a range basis of M (_floor_basis, which overwrites M with its
+        residual) and B = (Q^T M) W^T; W is orthogonal, so ||D - Q B||_F = ||M -
+        Q Q^T M||_F.  Where the basis does not pay, on a rung of at most 600 rows
+        (where the dense route is faster) or a full-rank M, Q is None and B is D.
+        """
+        if self.overlap.shape[0] > 600:
+            basis = _floor_basis(self.mixed(phi), tol.CLOUD_FLOOR / 2, block=64, overwrite_a=True)
+            if basis is not None:
+                return basis[0], basis[1] @ self.overlap.T
+        return None, self.mixed(phi) @ self.overlap.T
+
+    def symbol_spectrum(self, phi):
+        """Ascending eigenvalues of phi(H) - phi(H0), dim of them, each within tol.CLOUD_FLOOR.
+
+        With (Q, B) = symbol_factor(phi) and P = Q Q^T, the symmetric D has
+        ||D - P D P||_2 <= 2 ||(I - P) D||_F <= tol.CLOUD_FLOOR, so by Weyl's
+        inequality the eigenvalues of Q^T D Q = B Q, padded with zeros to dim, are
+        each within the floor of D's: a certificate, not a probability.  Only the
+        dense route (Q None) forms D and takes its eigvalsh.
+        """
+        q, b = self.symbol_factor(phi)
+        core = b if q is None else b @ q
+        w = np.linalg.eigvalsh(0.5 * (core + core.T))
+        return np.sort(np.concatenate([w, np.zeros(self.dim - w.size)]))
 
 
 def one_site_at_origin(pair: OperatorPair) -> bool:
@@ -380,17 +424,31 @@ def ladder_rung(pair: OperatorPair) -> Rung:
     """The Rung of a pair, and the one place that chooses its route.
 
     A one-site V at lattice1d site 0 (one_site_at_origin) takes even_sector.
-    Every other pair takes H0's closed form and one solve of H
-    (eigendecompose_pair); W = Phi^T Psi is formed once (the identity when
-    V = 0, so that every cloud is exact zeros) and the eigenvectors are dropped.
+    Every other pair takes H0's closed form (hopping_eigenvalues) and one solve
+    of H (eig), and never forms H0's eigenvectors Phi: W = Phi^T Psi and
+    (G Phi)^T = Phi^T G^T are sine transforms (_sine_coefficients), W in place
+    on Psi.  V = 0 gives W = I, so that every cloud is exact zeros.
     """
     if one_site_at_origin(pair):
         return even_sector(pair)
-    free, full = eigendecompose_pair(pair)
-    basis = free.eigenvectors
-    overlap = np.eye(basis.shape[0]) if full is free else basis.T @ full.eigenvectors
-    return Rung(free=free.eigenvalues, full=full.eigenvalues, overlap=overlap,
-                g_free=pair.g @ basis, dim=pair.spec.dim)
+    free = hopping_eigenvalues(pair.spec.dim)
+    g_free = _sine_coefficients(pair.g.T.copy(order="F")).T
+    if not pair.v.any():
+        return Rung(free=free, full=free, overlap=np.eye(free.size), g_free=g_free,
+                    dim=pair.spec.dim)
+    full = eig(pair, "full")
+    return Rung(free=free, full=full.eigenvalues, overlap=_sine_coefficients(full.eigenvectors),
+                g_free=g_free, dim=pair.spec.dim)
+
+
+def _sine_coefficients(x):
+    # Phi^T x for H0's ascending eigenvectors Phi (hopping_eigenpairs), in place on x.  Column
+    # i of Phi is s_x sqrt(2/m) sin(pi (i + 1) x / m) with s_x = (-1)^(x+1), x = 1..n, so
+    # Phi^T x is the orthonormal DST-I of s o x, its rows already in ascending order
+    from scipy import fft               # looked up at call time, so it can be swapped
+
+    x[1::2] *= -1.0
+    return fft.dst(x, type=1, norm="ortho", axis=0, overwrite_x=True)
 
 
 def even_sector(pair: OperatorPair) -> Rung:
@@ -521,50 +579,67 @@ def apply_function(dec: SpectralDecomposition, phi) -> np.ndarray:
     return (vecs * vals) @ vecs.T
 
 
-def leading_singvals(*factors, count=1) -> np.ndarray:
-    """The count largest singular values of the product of factors, descending (0 past its size).
+def leading_singvals(a, *, count=1) -> np.ndarray:
+    """The count largest singular values of a, descending (0 past its size).
 
-    Dense if its shorter side is at most max(600, 3 * count), else ARPACK from equal entries,
-    with several factors applied in turn by a LinearOperator: their product is never formed.
+    Dense if its shorter side is at most max(600, 3 * count), else ARPACK from equal entries.
     """
-    from scipy.sparse.linalg import LinearOperator, svds   # looked up at call time
+    from scipy.sparse.linalg import svds   # looked up at call time
 
-    shape = (factors[0].shape[0], factors[-1].shape[1])
-    if min(shape) <= max(600, 3 * count):
-        s = np.linalg.svd(reduce(np.matmul, factors), compute_uv=False)[:count]
+    if min(a.shape) <= max(600, 3 * count):
+        s = np.linalg.svd(a, compute_uv=False)[:count]
     else:
-        op = factors[0] if len(factors) == 1 else LinearOperator(
-            shape, matvec=lambda x: reduce(lambda y, f: f @ y, factors[::-1], x),
-            rmatvec=lambda x: reduce(lambda y, f: f.conj().T @ y, factors, x),
-            dtype=np.result_type(*factors))
-        s = np.sort(svds(op, k=count, v0=np.full(shape[1], 1.0 / np.sqrt(shape[1])),
+        s = np.sort(svds(a, k=count, v0=np.full(a.shape[1], 1.0 / np.sqrt(a.shape[1])),
                          return_singular_vectors=False))[::-1]
     return np.concatenate([s, np.zeros(count - s.size)])
+
+
+def _floor_basis(a, floor, block=None, overwrite_a=False):
+    """(Q, Q^T a) for an orthonormal Q with ||a - Q Q^T a||_F <= floor, or None.
+
+    A range basis Q grows from a fixed-seed Gaussian block of 32 columns
+    (Halko, Martinsson & Tropp, SIAM Review 53, 2011), keeping its columns and
+    residual while it fails.  By default each new block takes one
+    re-orthonormalised power step on the residual and doubles the basis.  With
+    a block size each new block is that many columns and takes no power step:
+    two fewer passes over a per block, for a matrix whose rank lies far above
+    32.  Once the basis would reach half the shorter side the answer is None
+    and the caller takes its dense route, so small and full-rank matrices keep
+    its bits.  With overwrite_a (a real, Fortran-ordered a) the residual is
+    formed in a itself by BLAS (dgemm with beta = 1), so no second matrix of
+    a's size is allocated; a then holds the residual.
+    """
+    from scipy.linalg import blas       # looked up at call time
+
+    rng = np.random.default_rng(0)
+    q, rows, resid, width = np.empty((a.shape[0], 0)), [], a, 32
+    while 2 * width < min(a.shape):
+        y = np.linalg.qr(resid @ rng.standard_normal((a.shape[1], width - q.shape[1])))[0]
+        if block is None:
+            y = resid @ np.linalg.qr(resid.T @ y)[0]
+        y = np.linalg.qr(y - q @ (q.T @ y))[0]
+        rows.append(y.T @ resid)
+        if overwrite_a:                 # resid -= y rows[-1] by one BLAS call, into resid itself
+            resid = blas.dgemm(-1.0, y, rows[-1], 1.0, resid, overwrite_c=True)
+        else:
+            resid = resid - y @ rows[-1]
+        q = np.hstack([q, y])
+        if np.linalg.norm(resid) <= floor:
+            return q, np.vstack(rows)
+        width = 2 * width if block is None else width + block
+    return None
 
 
 def _floor_singvals(a) -> np.ndarray:
     """All min(a.shape) singular values of a, descending, each within tol.CLOUD_FLOOR of exact.
 
-    A range basis Q grows from a fixed-seed Gaussian block, each new block with
-    one re-orthonormalised power step on the residual (Halko, Martinsson &
-    Tropp, SIAM Review 53, 2011), until ||a - Q Q^T a||_F <= tol.CLOUD_FLOOR.
-    Then sigma(Q^T a), padded with zeros, is within that floor of sigma(a) by
-    Weyl's inequality: a certificate, not a probability.  The basis starts at
-    32 columns and doubles while it fails, keeping its columns and residual;
-    once it would reach half the shorter side the dense SVD serves, so small
-    and full-rank matrices get its bits.
+    With Q from _floor_basis(a, tol.CLOUD_FLOOR), sigma(Q^T a), padded with
+    zeros, is within that floor of sigma(a) by Weyl's inequality: a
+    certificate, not a probability.  Where the basis does not pay the dense
+    SVD serves, so small and full-rank matrices get its bits.
     """
-    rng = np.random.default_rng(0)
-    q, rows, resid, width = np.empty((a.shape[0], 0)), [], a, 32
-    while 2 * width < min(a.shape):
-        y = np.linalg.qr(resid @ rng.standard_normal((a.shape[1], width - q.shape[1])))[0]
-        y = resid @ np.linalg.qr(resid.T @ y)[0]
-        y = np.linalg.qr(y - q @ (q.T @ y))[0]
-        rows.append(y.T @ resid)
-        resid = resid - y @ rows[-1]
-        q = np.hstack([q, y])
-        if np.linalg.norm(resid) <= tol.CLOUD_FLOOR:
-            s = np.linalg.svd(np.vstack(rows), compute_uv=False)
-            return np.concatenate([s, np.zeros(min(a.shape) - s.size)])
-        width *= 2
-    return np.linalg.svd(a, compute_uv=False)
+    basis = _floor_basis(a, tol.CLOUD_FLOOR)
+    if basis is None:
+        return np.linalg.svd(a, compute_uv=False)
+    s = np.linalg.svd(basis[1], compute_uv=False)
+    return np.concatenate([s, np.zeros(min(a.shape) - s.size)])

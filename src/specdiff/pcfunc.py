@@ -6,8 +6,11 @@ step pieces; each jump at lambda_n contributes the segment
 essential spectrum of the difference phi(H) - phi(H0).  Empirical validation
 runs the same truncation ladders as the projection-difference analysis, and
 reads only the rung (opcore.ladder_rung): a single step's cloud comes from
-Rung.difference_spectrum, every other symbol from Rung.difference, in H0's
-eigenbasis.  symbol_difference stays the dense site-basis oracle.
+Rung.difference_spectrum, every other symbol's from Rung.symbol_spectrum, and
+the cross term from Rung.symbol_factor.  Both work in H0's eigenbasis from
+the low-rank M = W o (phi(mu)^T - phi(lambda)) (Rung.mixed), certified to
+tol.CLOUD_FLOOR, so no ladder forms an n x n difference past the kernel's
+small-rung dense route.  symbol_difference stays the dense site-basis oracle.
 """
 
 from __future__ import annotations
@@ -21,8 +24,7 @@ import numpy as np
 from . import tolerances as tol
 from .alpha import nearest_distances, transient_filter
 from .opcore import (ModelSpec, OperatorPair, apply_function, build_model, eigendecompose_pair,
-                     in_band, ladder_rung, leading_singvals, projection_difference,
-                     snap_to_points, spectral_block)
+                     in_band, ladder_rung, projection_difference, snap_to_points, spectral_block)
 
 _BACKGROUNDS = ("zero", "gaussian_bump", "arctan_step_smoothed")
 
@@ -264,8 +266,7 @@ def _cloud(rung, phi):
     if phi.background == "zero" and len(phi.jumps) == 1:
         loc, lo, hi = phi.jumps[0]
         return np.sort(-(hi - lo).real * rung.difference_spectrum(loc, closed="right"))
-    w = np.linalg.eigvalsh(rung.difference(phi))
-    return np.sort(np.concatenate([w, np.zeros(rung.dim - w.size)]))
+    return rung.symbol_spectrum(phi)
 
 
 def accumulation_set(cloud, prev_cloud):
@@ -294,9 +295,17 @@ def cross_term_compactness(spec: ModelSpec, phi1: PiecewiseFn, phi2: PiecewiseFn
 
     When the two symbols jump at disjoint locations the product of the two
     differences is compact, so its sv_index-th singular value must decay as
-    the truncation grows; the report carries the per-rung leading singular
-    values and the decay verdict.  sv_index lies in 1..the smallest rung's dim.
+    the truncation grows; the report carries the per-rung sv_index + 3 leading
+    singular values and the decay verdict.  sv_index lies in 1..the smallest
+    rung's dim.  The second difference is taken as D2 = Q B to
+    tol.CLOUD_FLOOR / 2 (Rung.symbol_factor), and D1 D2 = (D1 Q R^T) Q'^T with
+    B^T = Q' R, so the singular values are those of the n x r matrix D1 Q R^T =
+    M1 (W^T Q) R^T (Rung.mixed): within ||D1|| tol.CLOUD_FLOOR / 2 of exact,
+    with no n x n difference formed or multiplied.  A rung of the dense route
+    (symbol_factor's Q None) takes the product itself.
     """
+    if not (phi1.is_real and phi2.is_real):
+        raise SymbolError("complex symbols excluded from the cross term ladder")
     overlap = set(phi1.singsupp()) & set(phi2.singsupp())
     if overlap:
         raise SymbolError(f"symbols share jump locations {sorted(overlap)}")
@@ -306,9 +315,16 @@ def cross_term_compactness(spec: ModelSpec, phi1: PiecewiseFn, phi2: PiecewiseFn
     dim = replace(spec, n_half=min(n_list)).dim
     if list(n_list) != sorted(n_list) or not 1 <= sv_index <= dim:
         raise SymbolError(f"n_list={n_list} must ascend and sv_index={sv_index} lie in 1..{dim}")
-    rungs = (ladder_rung(build_model(replace(spec, n_half=n))) for n in n_list)
-    rows = [leading_singvals(r.difference(phi1), r.difference(phi2), count=sv_index + 3)
-            for r in rungs]
+    rows = []
+    for n in n_list:
+        rung = ladder_rung(build_model(replace(spec, n_half=n)))
+        q, b = rung.symbol_factor(phi2)
+        if q is None:                               # a small rung: the product itself
+            core = (rung.mixed(phi1) @ rung.overlap.T) @ b
+        else:                                       # D1 Q R^T, with B^T = Q' R
+            core = (rung.mixed(phi1) @ (rung.overlap.T @ q)) @ np.linalg.qr(b.T, mode="r").T
+        s = np.linalg.svd(core, compute_uv=False)[:sv_index + 3]
+        rows.append(np.concatenate([s, np.zeros(sv_index + 3 - s.size)]))
     tracked = [float(r[sv_index - 1]) for r in rows]
     return {"n_list": n_list, "singular_values": tuple(rows),
             "tracked_index": sv_index, "tracked_values": tuple(tracked),

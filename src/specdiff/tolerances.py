@@ -35,7 +35,11 @@ RECIPROCITY = 1e-10               # transfer matrix: |t_left - t_right| above th
 CARLEMAN_HYPOTHESIS = 1e-12       # Hankel kernels: |K(t)| <= C/t + CARLEMAN_HYPOTHESIS on the grid
 CARLEMAN_BOUND = 1e-6             # the Carleman bound holds if ||K|| <= pi C + CARLEMAN_BOUND
 GRID_SPAN = 1e12                  # Hankel grids span (T / GRID_SPAN, T)
-CLOUD_FLOOR = 1e-12               # rung cross-block singular values: exact to this (|W_kj| <= 1)
+# Every value of a rung cloud is exact to CLOUD_FLOOR: the cross-block singular
+# values of a projection difference (|W_kj| <= 1), and the eigenvalues of every
+# other symbol's phi(H) - phi(H0), from a basis of M = W o (phi(mu) - phi(lambda))
+# certified to CLOUD_FLOOR / 2
+CLOUD_FLOOR = 1e-12
 
 __version__ = 7                   # of the table: raised whenever a key or a value changes
 

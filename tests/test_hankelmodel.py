@@ -155,12 +155,7 @@ def test_leading_singvals_dense_vs_iterative(monkeypatch):
     for shape in ((700, 650), (700, 500)):
         m = rng.standard_normal(shape)
         assert leading_singvals(m)[0] == pytest.approx(np.linalg.norm(m, 2), rel=1e-8)
-    # a product of two factors: on the ARPACK route applied in turn, never formed
-    for inner in (650, 500):
-        a, b = rng.standard_normal((700, 680)), rng.standard_normal((680, inner))
-        ref = np.linalg.svd(a @ b, compute_uv=False)[:3]
-        assert np.allclose(leading_singvals(a, b, count=3), ref, rtol=1e-8, atol=0)
-    assert len(arpack) == 2
+    assert len(arpack) == 1
     assert leading_singvals(np.zeros((0, 3)))[0] == 0.0
 
 

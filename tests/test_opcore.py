@@ -8,15 +8,16 @@ import scipy.linalg
 import numpy as np
 import pytest
 
+from specdiff import opcore
 from specdiff import tolerances as tol
 from specdiff.alpha import AlphaError, alpha_proj_limit, d_spectrum_ladders
 from specdiff.hankelmodel import build_l_operators
 from specdiff.harness import ExperimentConfig, run, validate
 from specdiff.opcore import (ModelError, ModelSpec, OperatorPair, Rung, _floor_singvals,
                              apply_function, build_model, count_below, eig, eigendecompose,
-                             eigendecompose_pair, even_sector, ladder_rung, one_site_at_origin,
-                             projection_difference, select_spectrum, spectral_block,
-                             spectral_projection)
+                             eigendecompose_pair, even_sector, hopping_eigenpairs, ladder_rung,
+                             one_site_at_origin, projection_difference, select_spectrum,
+                             spectral_block, spectral_projection)
 from specdiff.pcfunc import PiecewiseFn, SymbolError, predicted_ess_spectrum, symbol_difference
 from specdiff.resolvent import ResolventError, boundary_value, stone_consistency, t0_of_z
 from specdiff.scatter1d import ScatteringError, smatrix_transfer
@@ -289,18 +290,60 @@ SYMBOLS = (
 )
 
 
-@pytest.mark.parametrize("spec", list(dict.fromkeys(case[0] for case in DIFFERENCE_CASES)))
-def test_rung_difference_matches_the_dense_symbol_difference(spec):
-    # phi(H) - phi(H0) in the rung basis, zeros for the rows past W's size, has the spectrum
-    # of the dense site-basis oracle
+# the phi workload's two-site symbol: its M has about 130 singular values above the floor at
+# N = 1000, so it must take the certified low-rank path, not the dense fallback
+LOW_RANK_CASE = (ModelSpec("lattice1d", 1000, ((0, -0.81), (1, 0.45))),
+                 (PiecewiseFn(jumps=((-0.5, 0.0, 1.0), (0.5, 0.0, 0.7)), background="gaussian_bump",
+                              background_params=(0.6, 0.1, 0.5)),))
+SYMBOL_CASES = [(spec, SYMBOLS) for spec in dict.fromkeys(case[0] for case in DIFFERENCE_CASES)]
+SYMBOL_CASES.append(LOW_RANK_CASE)
+SYMBOL_CASES.append((ModelSpec("lattice1d", 400), SYMBOLS))       # V = 0 past 600 rows: M = 0
+SYMBOL_CASES.append((ModelSpec("lattice1d", 700, ((0, 1.0),)), SYMBOLS))   # sector kernel, 0 in H0
+
+
+@pytest.mark.parametrize("spec, symbols", SYMBOL_CASES,
+                         ids=[f"spec{i}" for i in range(len(SYMBOL_CASES))])
+def test_rung_difference_matches_the_dense_symbol_difference(spec, symbols, monkeypatch):
+    # phi(H) - phi(H0) from the rung's certified kernel, zeros for the rows past W's size, has
+    # the spectrum of the dense site-basis oracle
+    real, widths = opcore._floor_basis, []
+
+    def recording(*args, **kwargs):
+        out = real(*args, **kwargs)
+        widths.append(None if out is None else out[0].shape[1])
+        return out
+
+    monkeypatch.setattr(opcore, "_floor_basis", recording)
     pair = build_model(spec)
     rung = ladder_rung(pair)
-    for phi in SYMBOLS:
-        w = np.linalg.eigvalsh(rung.difference(phi))
-        got = np.sort(np.concatenate([w, np.zeros(rung.dim - w.size)]))
+    for phi in symbols:
+        got = rung.symbol_spectrum(phi)
         ref = np.linalg.eigvalsh(symbol_difference(pair, phi))
         assert got.shape == ref.shape == (spec.dim,)
         assert np.max(np.abs(got - ref)) <= 1e-12, phi
+    if spec is LOW_RANK_CASE[0]:                # one accepted basis, far narrower than the rung
+        assert len(widths) == 1 and widths[0] is not None and 2 * widths[0] < spec.dim
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec("lattice1d", 250, ((0, 0.96), (1, 0.58))),
+    ModelSpec("jacobi", 500, ((0, 1.5), (2, 0.5))),
+    ModelSpec("random_traceclass", 60, decay_rate=2.0, seed=3),
+])
+def test_sine_transform_overlap_matches_the_eigenvector_product(spec):
+    # the whole route takes W = Phi^T Psi and G Phi from sine transforms, never forming Phi;
+    # the oracle forms Phi in closed form and multiplies
+    pair = build_model(spec)
+    rung = ladder_rung(pair)
+    free, psi = hopping_eigenpairs(spec.dim), eig(pair, "full").eigenvectors
+    assert np.array_equal(rung.free, free.eigenvalues)
+    assert np.max(np.abs(rung.overlap - free.eigenvectors.T @ psi)) <= 1e-13
+    assert np.max(np.abs(rung.g_free - pair.g @ free.eigenvectors)) <= 1e-13
+    # V = 0: W is exactly the identity, and G Phi has no rows
+    for zero in (ModelSpec("lattice1d", 40), ModelSpec("jacobi", 41)):
+        rung = ladder_rung(build_model(zero))
+        assert np.array_equal(rung.overlap, np.eye(zero.dim))
+        assert rung.full is rung.free and rung.g_free.shape == (0, zero.dim)
 
 
 def test_even_sector_overlap_is_orthogonal():
