@@ -7,7 +7,8 @@ on finite truncations.  d_spectrum_ladder tracks the eigenvalue cloud of
 D = E(-inf,lambda) - E0(-inf,lambda) along a ladder of truncations, and
 d_spectrum_ladders does so for many lambda from one decomposition per rung.
 The ladders and alpha_proj_limit read only the rung (opcore.ladder_rung),
-which chooses its route from the pair.  E0 is an exact prefix mask in the rung
+which chooses its route from the pair; D's cloud is Rung.cloud of the step 1
+strictly below lambda (select_spectrum).  E0 is an exact prefix mask in the rung
 basis, so the D^2 identity residual is Q^2 - Q for E = Q, in closed form from
 the Gram matrix of the rung's eigenvector block W[:, :k1] (_b4_residual_norm).
 
@@ -213,8 +214,8 @@ def d_spectrum_ladders(spec: ModelSpec, lams, n_list) -> tuple:
     Each rung is built and decomposed once (opcore.ladder_rung, which chooses
     the route from the pair), and every lambda reads only the rung: its spectra
     and the overlap W = Phi^T Psi in H0's eigenbasis.  The cloud of every lambda
-    is the singular values of two cross blocks of W (Rung.difference_spectrum,
-    which pcfunc's single-jump ladders share).  E0 is an exact prefix mask, so
+    is Rung.cloud of the step 1 below lambda (select_spectrum): the singular
+    values of two cross blocks of W.  E0 is an exact prefix mask, so
     the D^2 residual is Q^2 - Q for Q = W1 W1^T, W1 = W[:, :k1]: W's
     orthogonality defect, from the eigenvalues of W1^T W1 (_b4_residual_norm).
     """
@@ -242,7 +243,8 @@ def _ladders(spec, lams, n_list):
         rung = ladder_rung(build_model(replace(spec, n_half=n)))
         for i, lam in enumerate(lams):
             residuals[i].append(_b4_residual_norm(rung.overlap[:, :count_below(rung.full, lam)]))
-            clouds[i].append(rung.difference_spectrum(lam))
+            clouds[i].append(rung.cloud(
+                lambda w, lam=lam: select_spectrum(w, hi=lam).astype(float)))
     return tuple(_ess_estimate(lam, n_list, c, r) for lam, c, r in zip(lams, clouds, residuals))
 
 

@@ -80,7 +80,7 @@ def hankel_bound_check(kernel, c, n, t_max) -> dict:
         t, k = nodes[bad[0]], nrm[bad[0]]
         raise HankelError(f"hypothesis ||K(t)|| <= C/t violated at t={t:.3e} "
                           f"({k:.3e} > {c / t:.3e})")
-    norm = float(leading_singvals(disc.matrix)[0])
+    norm = leading_singvals(disc.matrix)
     return {"norm": norm, "bound_ok": bool(norm <= np.pi * c + tol.CARLEMAN_BOUND),
             "discretization": disc}
 
@@ -124,6 +124,6 @@ def build_l_operators(pair: OperatorPair, lam, n, t_max) -> dict:
     l1, c1 = semigroup(v1, lam - dec1.eigenvalues)
     c1j = (c1.reshape(c1.shape[0], n, pair.k_dim) @ pair.j).reshape(c1.shape)   # J per node
     # v1 v1^T v0 v0^T + L J L0^T = v1 (v1^T v0 + c1 J c0^T) v0^T, and v0, v1 are orthonormal
-    residual = leading_singvals(v1.T @ v0 + c1j @ c0.T)[0]
-    return {"L0": l0, "L": l1, "residual_b16": float(residual),
+    residual = leading_singvals(v1.T @ v0 + c1j @ c0.T)
+    return {"L0": l0, "L": l1, "residual_b16": residual,
             "nodes": nodes, "weights": weights}

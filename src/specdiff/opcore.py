@@ -5,21 +5,21 @@ stored as its bands, with the factorization V = G^T J G, and provides the one
 eigensolver of a pair (eig, which takes H0's eigenpairs in closed form from
 hopping_eigenpairs and solves only H), the one closed form of H0's spectrum
 (hopping_eigenvalues), the one band rule (in_band), the two singular-value
-routines (leading_singvals for the top k values, _floor_singvals for every
-value above a floor, from the certified range basis of _floor_basis),
-spectral projections and functions of operators phi(H).  A ladder rung (Rung)
-holds a pair in H0's eigenbasis: both spectra, the overlap W = Phi^T Psi of
-the eigenvectors and G Phi.  Its difference_spectrum gives the cloud of a
-projection difference from two cross blocks of W; its mixed(phi) gives M =
-W o (phi(mu)^T - phi(lambda)), with phi(H) - phi(H0) = M W^T, and
-symbol_factor and symbol_spectrum take that difference's low-rank factor and
-its eigenvalues from a basis of M, certified to tol.CLOUD_FLOOR, without
-forming it.  ladder_rung is the one place that chooses a rung's route, by one
-rule on the pair (one_site_at_origin): the even sector of a one-site V at
-lattice1d site 0 (even_sector: eigenvalues only, and W as a Cauchy matrix),
-or H0's closed form and one solve of H, with W and G Phi as sine transforms.
-The two whole decompositions (eigendecompose_pair) stay the oracle.  Its
-thresholds are read from specdiff.tolerances.
+routines (leading_singvals for the top value, _floor_singvals for every value
+above a floor, from the certified range basis of _floor_basis), spectral
+projections and functions of operators phi(H).  A ladder rung (Rung) holds a
+pair in H0's eigenbasis: both spectra, the overlap W = Phi^T Psi of the
+eigenvectors and G Phi.  Its one cloud method, cloud(f), gives the eigenvalues
+of f(H) - f(H0) for f, a map from an ascending whole spectrum to a symbol's
+values, and chooses its kernel from those values: a step's from two cross
+blocks of W, any other f's from a basis of M = W o (f(mu)^T - f(lambda))
+(mixed, symbol_factor), each certified to tol.CLOUD_FLOOR.  The rung reads no
+symbol; the convention at a jump is f's.  ladder_rung is the one place that
+chooses a rung's route, by one rule on the pair (one_site_at_origin): the even
+sector of a one-site V at lattice1d site 0 (even_sector: eigenvalues only, and
+W as a Cauchy matrix), or H0's closed form and one solve of H, with W and G
+Phi as sine transforms.  The two whole decompositions (eigendecompose_pair)
+stay the oracle.  Its thresholds are read from specdiff.tolerances.
 """
 
 from __future__ import annotations
@@ -350,68 +350,72 @@ class Rung:
     g_free: np.ndarray
     dim: int
 
-    def difference_spectrum(self, hi, closed="neither"):
-        """Ascending eigenvalues of E(-inf, hi) - E0(-inf, hi), dim of them, without forming it.
+    def cloud(self, f):
+        """Ascending eigenvalues of f(H) - f(H0), dim of them, each within tol.CLOUD_FLOOR.
 
-        With k0, k1 the eigenvalue counts below hi (select_spectrum), the two
-        projections split the space into principal angles (Halmos' two
-        subspaces): the spectrum is +sigma(W[k0:, :k1]) and -sigma(W[:k0, k1:]),
-        padded with zeros to dim.  The blocks are numerically of low rank, and
-        each is taken exact to tol.CLOUD_FLOOR (_floor_singvals).  The +-1
-        eigenvalues are singular values too, measured rather than set from
-        k1 - k0; a hi below or above both spectra gives empty blocks, and W = I
-        (V = 0) gives exact zeros.
+        f maps an ascending whole spectrum to the symbol's values, which choose the
+        kernel.  If they are a on the first k0 and k1 eigenvalues and b on the rest
+        (_one_step), D = (a - b)(E - E0) splits into principal angles (Halmos' two
+        subspaces): (a - b) times +sigma(W[k0:, :k1]) and -sigma(W[:k0, k1:]), each
+        exact to the floor (_floor_singvals), the +-1 values measured, not set.  Any
+        other f takes (Q, B) = symbol_factor(f): ||D - P D P||_2 <= 2 ||(I - P) D||_F
+        <= tol.CLOUD_FLOOR for P = Q Q^T, so by Weyl's inequality the eigenvalues of
+        Q^T D Q = B Q are each within the floor of D's.  Zeros pad both to dim.
         """
-        k0, k1 = count_below(self.free, hi, closed), count_below(self.full, hi, closed)
-        plus = _floor_singvals(self.overlap[k0:, :k1])
-        minus = _floor_singvals(self.overlap[:k0, k1:])
-        return np.concatenate([-minus, np.zeros(self.dim - plus.size - minus.size), plus[::-1]])
+        step = _one_step(np.asarray(f(self.free)), np.asarray(f(self.full)))
+        if step is not None:
+            a, b, k0, k1 = step
+            plus = _floor_singvals(self.overlap[k0:, :k1])
+            minus = _floor_singvals(self.overlap[:k0, k1:])
+            out = (a - b) * np.concatenate([-minus, np.zeros(self.dim - plus.size - minus.size),
+                                            plus[::-1]])
+            return out if a >= b else out[::-1]     # reversed, not sorted: zeros keep their sign
+        q, b = self.symbol_factor(f)
+        core = b if q is None else b @ q
+        w = np.linalg.eigvalsh(0.5 * (core + core.T))
+        return np.sort(np.concatenate([w, np.zeros(self.dim - w.size)]))
 
-    def mixed(self, phi):
-        """M = W o (phi(mu)^T - phi(lambda)): phi(H) - phi(H0) = M W^T in the rung basis.
+    def mixed(self, f):
+        """M = W o (f(mu)^T - f(lambda)): f(H) - f(H0) = M W^T in the rung basis.
 
-        phi is a pcfunc.PiecewiseFn.  W diagonalises H in H0's eigenbasis, so
-        phi(H) - phi(H0) = W phi(mu) W^T - phi(lambda) = (W phi(mu) - phi(lambda) W) W^T,
-        the double operator integral of Birman and Solomyak, and M is one elementwise
-        product, Fortran-ordered for _floor_basis to overwrite.  The eigenvalues are first
-        snapped to phi's jump locations (snap_to_points), so that an eigenvalue on a jump
-        takes the left limit, whichever sign its roundoff has.
+        f maps an ascending whole spectrum to the symbol's values (cloud).  W
+        diagonalises H in H0's eigenbasis, so f(H) - f(H0) = W f(mu) W^T - f(lambda)
+        = (W f(mu) - f(lambda) W) W^T, the double operator integral of Birman and
+        Solomyak, and M is one elementwise product, Fortran-ordered for _floor_basis
+        to overwrite.
         """
-        locs = [loc for loc, _, _ in phi.jumps]
-        m = np.subtract(phi(snap_to_points(self.full, locs)),
-                        phi(snap_to_points(self.free, locs))[:, None],
+        m = np.subtract(f(self.full), f(self.free)[:, None],
                         out=np.empty(self.overlap.shape, order="F"))
         m *= self.overlap
         return m
 
-    def symbol_factor(self, phi):
-        """(Q, B) with ||phi(H) - phi(H0) - Q B||_F <= tol.CLOUD_FLOOR / 2, Q orthonormal.
+    def symbol_factor(self, f):
+        """(Q, B) with ||f(H) - f(H0) - Q B||_F <= tol.CLOUD_FLOOR / 2, Q orthonormal.
 
-        In the rung basis D = phi(H) - phi(H0) = M W^T (mixed), numerically of low
+        In the rung basis D = f(H) - f(H0) = M W^T (mixed), numerically of low
         rank.  Q is a range basis of M (_floor_basis, which overwrites M with its
         residual) and B = (Q^T M) W^T; W is orthogonal, so ||D - Q B||_F = ||M -
         Q Q^T M||_F.  Where the basis does not pay, on a rung of at most 600 rows
         (where the dense route is faster) or a full-rank M, Q is None and B is D.
         """
         if self.overlap.shape[0] > 600:
-            basis = _floor_basis(self.mixed(phi), tol.CLOUD_FLOOR / 2, block=64, overwrite_a=True)
+            basis = _floor_basis(self.mixed(f), tol.CLOUD_FLOOR / 2, block=64, overwrite_a=True)
             if basis is not None:
                 return basis[0], basis[1] @ self.overlap.T
-        return None, self.mixed(phi) @ self.overlap.T
+        return None, self.mixed(f) @ self.overlap.T
 
-    def symbol_spectrum(self, phi):
-        """Ascending eigenvalues of phi(H) - phi(H0), dim of them, each within tol.CLOUD_FLOOR.
 
-        With (Q, B) = symbol_factor(phi) and P = Q Q^T, the symmetric D has
-        ||D - P D P||_2 <= 2 ||(I - P) D||_F <= tol.CLOUD_FLOOR, so by Weyl's
-        inequality the eigenvalues of Q^T D Q = B Q, padded with zeros to dim, are
-        each within the floor of D's: a certificate, not a probability.  Only the
-        dense route (Q None) forms D and takes its eigvalsh.
-        """
-        q, b = self.symbol_factor(phi)
-        core = b if q is None else b @ q
-        w = np.linalg.eigvalsh(0.5 * (core + core.T))
-        return np.sort(np.concatenate([w, np.zeros(self.dim - w.size)]))
+def _one_step(v0, v1):
+    # (a, b, k0, k1) when the values v0 on H0's spectrum and v1 on H's are a on their first k0
+    # and k1 entries and b on the rest, else None; constant values give a = b
+    vals = np.unique(np.concatenate([v0, v1]))
+    if vals.size > 2:
+        return None
+    for a, b in ((vals[0], vals[-1]), (vals[-1], vals[0])):
+        k0, k1 = np.count_nonzero(v0 == a), np.count_nonzero(v1 == a)
+        if (v0[:k0] == a).all() and (v1[:k1] == a).all():
+            return a, b, k0, k1
+    return None
 
 
 def one_site_at_origin(pair: OperatorPair) -> bool:
@@ -569,8 +573,8 @@ def spectral_projection(dec: SpectralDecomposition, lam: float) -> np.ndarray:
 def apply_function(dec: SpectralDecomposition, phi) -> np.ndarray:
     """Functional calculus phi(M) = sum phi(lambda_j) v_j v_j^T.
 
-    phi is any callable accepting an ndarray of eigenvalues; PiecewiseFn
-    evaluates with its jump-point convention.
+    phi maps the ascending whole spectrum to its values there, so the
+    convention at a spectral point is phi's own (PiecewiseFn.on_spectrum).
     """
     vals = np.asarray(phi(dec.eigenvalues))
     vecs = dec.eigenvectors
@@ -579,19 +583,18 @@ def apply_function(dec: SpectralDecomposition, phi) -> np.ndarray:
     return (vecs * vals) @ vecs.T
 
 
-def leading_singvals(a, *, count=1) -> np.ndarray:
-    """The count largest singular values of a, descending (0 past its size).
+def leading_singvals(a) -> float:
+    """The largest singular value of a, 0.0 for an empty a.
 
-    Dense if its shorter side is at most max(600, 3 * count), else ARPACK from equal entries.
+    Dense if its shorter side is at most 600, else ARPACK from equal entries.
     """
     from scipy.sparse.linalg import svds   # looked up at call time
 
-    if min(a.shape) <= max(600, 3 * count):
-        s = np.linalg.svd(a, compute_uv=False)[:count]
-    else:
-        s = np.sort(svds(a, k=count, v0=np.full(a.shape[1], 1.0 / np.sqrt(a.shape[1])),
-                         return_singular_vectors=False))[::-1]
-    return np.concatenate([s, np.zeros(count - s.size)])
+    if min(a.shape) <= 600:
+        s = np.linalg.svd(a, compute_uv=False)
+        return float(s[0]) if s.size else 0.0
+    return float(svds(a, k=1, v0=np.full(a.shape[1], 1.0 / np.sqrt(a.shape[1])),
+                      return_singular_vectors=False)[0])
 
 
 def _floor_basis(a, floor, block=None, overwrite_a=False):

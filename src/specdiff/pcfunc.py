@@ -5,12 +5,12 @@ step pieces; each jump at lambda_n contributes the segment
 [-alpha(lambda_n) kappa_n, +alpha(lambda_n) kappa_n] to the predicted
 essential spectrum of the difference phi(H) - phi(H0).  Empirical validation
 runs the same truncation ladders as the projection-difference analysis, and
-reads only the rung (opcore.ladder_rung): a single step's cloud comes from
-Rung.difference_spectrum, every other symbol's from Rung.symbol_spectrum, and
-the cross term from Rung.symbol_factor.  Both work in H0's eigenbasis from
-the low-rank M = W o (phi(mu)^T - phi(lambda)) (Rung.mixed), certified to
-tol.CLOUD_FLOOR, so no ladder forms an n x n difference past the kernel's
-small-rung dense route.  symbol_difference stays the dense site-basis oracle.
+reads only the rung (opcore.ladder_rung): clouds from Rung.cloud, the cross
+term from Rung.symbol_factor and Rung.mixed, each given the symbol's values on
+a spectrum (PiecewiseFn.on_spectrum, the one place where a jump's left limit
+meets a spectrum).  The rung's kernels are certified to tol.CLOUD_FLOOR, so no
+ladder forms an n x n difference past the small-rung dense route.
+symbol_difference stays the dense site-basis oracle.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ class PiecewiseFn:
     jumps       -- tuple of (location, left_limit, right_limit); each piece
                    takes the value left_limit for x <= location and
                    right_limit beyond it (left-limit convention at the jump).
-                   Applied to an operator (symbol_difference), an eigenvalue
-                   within opcore.spectral_point_tol (tol.SPECTRAL_POINT_ULPS * eps
+                   On a spectrum (on_spectrum), an eigenvalue within
+                   opcore.spectral_point_tol (tol.SPECTRAL_POINT_ULPS * eps
                    * ||M||) of a location equals it and takes left_limit.
     background  -- preset name: zero, gaussian_bump, arctan_step_smoothed.
     background_params -- preset parameters (amplitude, center, width).
@@ -108,6 +108,10 @@ class PiecewiseFn:
         if self.is_real:
             return vals.real
         return vals
+
+    def on_spectrum(self, w):
+        """phi on a whole spectrum w, an eigenvalue on a jump (snap_to_points) taking left_limit."""
+        return self(snap_to_points(w, [loc for loc, _, _ in self.jumps]))
 
     def step_pieces(self):
         """One single-jump PiecewiseFn per jump location, background dropped."""
@@ -203,10 +207,9 @@ def predicted_ess_spectrum(phi: PiecewiseFn, alpha_fn) -> SegmentUnion:
 def symbol_difference(pair: OperatorPair, phi: PiecewiseFn) -> np.ndarray:
     """Dense phi(H) - phi(H0) by spectral calculus.
 
-    An eigenvalue within opcore.spectral_point_tol (tol.SPECTRAL_POINT_ULPS * eps
-    * ||M||) of a jump location counts as equal to it and so takes the
-    left limit, whichever sign its roundoff has (opcore.select_spectrum).
-    Pure step symbols reduce to differences of eigenvector-block projections
+    An eigenvalue on a jump location takes the left limit, whichever sign its
+    roundoff has (PiecewiseFn.on_spectrum, opcore.select_spectrum).  Pure
+    step symbols reduce to differences of eigenvector-block projections
     onto the eigenvalues at most the jump location.  This is the dense oracle,
     formed in the site basis from both whole decompositions; the ladders
     (empirical_spectrum, cross_term_compactness) read the rung instead.
@@ -225,10 +228,7 @@ def symbol_difference(pair: OperatorPair, phi: PiecewiseFn) -> np.ndarray:
                 m *= -kappa.real
             acc = m if acc is None else acc + m
         return acc
-    locs = [loc for loc, _, _ in phi.jumps]
-    dec0, dec1 = (replace(dec, eigenvalues=snap_to_points(dec.eigenvalues, locs))
-                  for dec in (dec0, dec1))
-    return apply_function(dec1, phi) - apply_function(dec0, phi)
+    return apply_function(dec1, phi.on_spectrum) - apply_function(dec0, phi.on_spectrum)
 
 
 def empirical_spectrum(spec: ModelSpec, phi: PiecewiseFn, n_list) -> dict:
@@ -254,19 +254,11 @@ def _spectra(spec, phis, n_list):
     for n in n_list:
         rung = ladder_rung(build_model(replace(spec, n_half=n)))
         for c, phi in zip(clouds, phis):
-            c.append(_cloud(rung, phi))
+            c.append(rung.cloud(phi.on_spectrum))
     return tuple({"n_list": n_list, "clouds": tuple(c),
                   "accumulation": accumulation_set(c[-1], c[-2]) if len(c) >= 2 else c[-1],
                   "big_counts": tuple(int(np.sum(np.abs(x) > tol.BIG_EIGENVALUE)) for x in c)}
                  for c in clouds)
-
-
-def _cloud(rung, phi):
-    # ascending eigenvalues of phi(H) - phi(H0); one step is -kappa (E(-inf, loc] - E0(-inf, loc])
-    if phi.background == "zero" and len(phi.jumps) == 1:
-        loc, lo, hi = phi.jumps[0]
-        return np.sort(-(hi - lo).real * rung.difference_spectrum(loc, closed="right"))
-    return rung.symbol_spectrum(phi)
 
 
 def accumulation_set(cloud, prev_cloud):
@@ -318,11 +310,12 @@ def cross_term_compactness(spec: ModelSpec, phi1: PiecewiseFn, phi2: PiecewiseFn
     rows = []
     for n in n_list:
         rung = ladder_rung(build_model(replace(spec, n_half=n)))
-        q, b = rung.symbol_factor(phi2)
+        q, b = rung.symbol_factor(phi2.on_spectrum)
         if q is None:                               # a small rung: the product itself
-            core = (rung.mixed(phi1) @ rung.overlap.T) @ b
+            core = (rung.mixed(phi1.on_spectrum) @ rung.overlap.T) @ b
         else:                                       # D1 Q R^T, with B^T = Q' R
-            core = (rung.mixed(phi1) @ (rung.overlap.T @ q)) @ np.linalg.qr(b.T, mode="r").T
+            r_t = np.linalg.qr(b.T, mode="r").T
+            core = (rung.mixed(phi1.on_spectrum) @ (rung.overlap.T @ q)) @ r_t
         s = np.linalg.svd(core, compute_uv=False)[:sv_index + 3]
         rows.append(np.concatenate([s, np.zeros(sv_index + 3 - s.size)]))
     tracked = [float(r[sv_index - 1]) for r in rows]

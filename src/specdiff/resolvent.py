@@ -269,4 +269,4 @@ def stone_consistency(pair: OperatorPair, a, b, grid) -> float:
     quad = np.trapezoid(vals, lams, axis=0) / np.pi
 
     gv = pair.g @ eig(pair, "free", a, b, closed="left").eigenvectors
-    return float(leading_singvals(quad - gv @ gv.T)[0])
+    return leading_singvals(quad - gv @ gv.T)

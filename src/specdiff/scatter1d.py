@@ -1,7 +1,10 @@
 """Closed-form 1D lattice scattering: transfer-matrix and stationary S(lambda).
 
 The transfer-matrix route propagates plane waves across the compactly
-supported potential and is the independent ground truth; the stationary route
+supported potential and is the independent ground truth.  It has one
+recurrence, for a wave incoming from the left; a wave incoming from the right
+is one incoming from the left on the mirrored potential V(-x), which has the
+same t and whose r_plus is the original's r_minus.  The stationary route
 rebuilds the 2x2 scattering matrix from the boundary-value data through
 S = I - 2 pi i Z (J - J T J) Z^* with pi Z^* Z = B0.
 
@@ -46,33 +49,24 @@ class LatticeScattering:
             raise ScatteringError(f"S matrix unitarity defect {np.ravel(defect)[i]:.3e}")
 
 
-def _propagate(potential, lam, kappa, incoming_right):
-    """Plane-wave matching across the support; returns (t, r), elementwise in lam and kappa."""
+def _propagate(potential, lam, kappa):
+    """Plane-wave matching across the support for a wave incoming from the left.
+
+    Returns (t, r_plus), elementwise in lam and kappa.  A wave incoming from the
+    right is one incoming from the left on the mirrored potential V(-x).
+    """
     sites = {int(s): float(v) for s, v in potential}
     a = min(sites) if sites else 0
     b = max(sites) if sites else 0
-    sgn = -1.0 if incoming_right else 1.0
-    # transmitted side: pure e^{+-i kappa x} beyond the far edge of the support
-    if incoming_right:
-        x0, x1 = a - 2, a - 1
-        rng = range(a - 1, b + 2)
-        step = 1
-    else:
-        x0, x1 = b + 2, b + 1
-        rng = range(b + 1, a - 2, -1)
-        step = -1
-    u = {x0: np.exp(sgn * 1j * kappa * x0), x1: np.exp(sgn * 1j * kappa * x1)}
-    for x in rng:
-        v = sites.get(x, 0.0)
-        u[x + step] = (lam - v) * u[x] - u[x - step]
-    # two free sites past the near edge of the support
-    y1 = (b + 1) if incoming_right else (a - 1)
-    y2 = (b + 2) if incoming_right else (a - 2)
-    e1, e2 = np.exp(sgn * 1j * kappa * y1), np.exp(sgn * 1j * kappa * y2)
-    # u(y) = A e^{sgn i kappa y} + B e^{-sgn i kappa y} on the incoming side
+    # transmitted side: pure e^{i kappa x} beyond the right edge of the support
+    u = {b + 2: np.exp(1j * kappa * (b + 2)), b + 1: np.exp(1j * kappa * (b + 1))}
+    for x in range(b + 1, a - 2, -1):
+        u[x - 1] = (lam - sites.get(x, 0.0)) * u[x] - u[x + 1]
+    # u(y) = A e^{i kappa y} + B e^{-i kappa y} on the two free sites left of the support
+    e1, e2 = np.exp(1j * kappa * (a - 1)), np.exp(1j * kappa * (a - 2))
     det = e1 * np.conj(e2) - np.conj(e1) * e2
-    big_a = (u[y1] * np.conj(e2) - np.conj(e1) * u[y2]) / det
-    big_b = (e1 * u[y2] - u[y1] * e2) / det
+    big_a = (u[a - 1] * np.conj(e2) - np.conj(e1) * u[a - 2]) / det
+    big_b = (e1 * u[a - 2] - u[a - 1] * e2) / det
     return 1.0 / big_a, big_b / big_a
 
 
@@ -91,8 +85,8 @@ def smatrix_transfer(potential, lam) -> LatticeScattering:
         t_l = np.ones(lam.shape, dtype=complex)
         r_plus = r_minus = np.zeros(lam.shape, dtype=complex)
     else:
-        t_l, r_plus = _propagate(potential, lam, kappa, incoming_right=False)
-        t_r, r_minus = _propagate(potential, lam, kappa, incoming_right=True)
+        t_l, r_plus = _propagate(potential, lam, kappa)
+        t_r, r_minus = _propagate([(-s, v) for s, v in potential], lam, kappa)
         if np.any(abs(t_l - t_r) > tol.RECIPROCITY):
             raise ScatteringError("transmission reciprocity violated")
     s = np.stack([np.stack([t_l, r_minus], axis=-1), np.stack([r_plus, t_l], axis=-1)], axis=-2)

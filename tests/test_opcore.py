@@ -155,6 +155,11 @@ def test_closed_form_free_eigenpairs_match_the_dense_oracle(spec):
                               2) <= 1e-13, lam
 
 
+def _indicator(lam, closed="neither"):
+    # the step 1 below lam, 0 above it, as a map from a whole spectrum to its values (Rung.cloud)
+    return lambda w: select_spectrum(w, hi=lam, closed=closed).astype(float)
+
+
 def _dense_difference_spectrum(pair, lam, closed, decs=None):
     # the oracle: dense decompositions, the n x n D, and its eigvalsh
     decs = decs or [eigendecompose(pair.dense(which)) for which in ("free", "full")]
@@ -179,7 +184,7 @@ DIFFERENCE_CASES = [
 @pytest.mark.parametrize("spec, lam, closed", DIFFERENCE_CASES)
 def test_difference_spectrum_matches_the_dense_projection_difference(spec, lam, closed):
     pair = build_model(spec)
-    got = ladder_rung(pair).difference_spectrum(lam, closed)
+    got = ladder_rung(pair).cloud(_indicator(lam, closed))
     ref = _dense_difference_spectrum(pair, lam, closed)
     assert got.shape == ref.shape == (spec.dim,)
     assert np.max(np.abs(got - ref)) <= 1e-12
@@ -196,7 +201,7 @@ def test_even_sector_cloud_matches_the_dense_oracle(spec, lam, closed):
     sec = ladder_rung(pair)
     assert isinstance(sec, Rung)
     assert sec.free.size == sec.full.size == spec.n_half + 1
-    got = sec.difference_spectrum(lam, closed)
+    got = sec.cloud(_indicator(lam, closed))
     ref = _dense_difference_spectrum(pair, lam, closed)
     assert got.shape == ref.shape == (spec.dim,)
     assert np.max(np.abs(got - ref)) <= 1e-12
@@ -224,7 +229,7 @@ def test_cloud_kernel_route_matches_the_dense_oracle(spec):
     for lam in (-0.9, 0.0, 0.7):
         k0, k1 = count_below(rung.free, lam), count_below(rung.full, lam)
         assert min(rung.overlap[k0:, :k1].shape + rung.overlap[:k0, k1:].shape) > 64
-        got = rung.difference_spectrum(lam)
+        got = rung.cloud(_indicator(lam))
         ref = _dense_difference_spectrum(pair, lam, "neither", decs)
         assert np.max(np.abs(got - ref)) <= tol.CLOUD_FLOOR + 1e-14, lam
         for one in (1.0, -1.0):
@@ -317,12 +322,38 @@ def test_rung_difference_matches_the_dense_symbol_difference(spec, symbols, monk
     pair = build_model(spec)
     rung = ladder_rung(pair)
     for phi in symbols:
-        got = rung.symbol_spectrum(phi)
+        got = rung.cloud(phi.on_spectrum)
         ref = np.linalg.eigvalsh(symbol_difference(pair, phi))
         assert got.shape == ref.shape == (spec.dim,)
         assert np.max(np.abs(got - ref)) <= 1e-12, phi
     if spec is LOW_RANK_CASE[0]:                # one accepted basis, far narrower than the rung
         assert len(widths) == 1 and widths[0] is not None and 2 * widths[0] < spec.dim
+
+
+def test_cloud_chooses_its_kernel_from_the_symbol_values(monkeypatch):
+    # the values on both spectra, not the symbol's form, choose the kernel: a step with a
+    # zero-amplitude bump takes the principal angles and gives the plain step's bits, a window
+    # indicator (two values, but not one step) takes the basis of M
+    real, calls = opcore._floor_singvals, []
+    monkeypatch.setattr(opcore, "_floor_singvals",
+                        lambda a: calls.append(a.shape) or real(a))
+    pair = build_model(ModelSpec("lattice1d", 400, ((0, 0.5), (3, -0.7))))
+    rung = ladder_rung(pair)
+    assert rung.overlap.shape == (801, 801)
+    step = PiecewiseFn(jumps=((0.3, 0.0, 1.0),))
+    bumped = PiecewiseFn(jumps=step.jumps, background="gaussian_bump",
+                         background_params=(0.0, 0.2, 0.8))
+    window = PiecewiseFn(jumps=((-0.3, 0.0, 1.0), (0.3, 0.0, -1.0)))
+    plain = rung.cloud(step.on_spectrum)
+    del calls[:]
+    got = rung.cloud(bumped.on_spectrum)
+    assert len(calls) == 2 and np.array_equal(got, plain)
+    del calls[:]
+    clouds = [plain, got, rung.cloud(window.on_spectrum)]
+    assert calls == []
+    for phi, cloud in zip((step, bumped, window), clouds):
+        ref = np.linalg.eigvalsh(symbol_difference(pair, phi))
+        assert np.max(np.abs(cloud - ref)) <= 1e-12, phi
 
 
 @pytest.mark.parametrize("spec", [
@@ -393,7 +424,7 @@ def test_other_pairs_keep_the_whole_decompositions(spec, monkeypatch):
 def test_difference_spectrum_measures_plus_minus_one_and_zero_potential():
     # an attractive site binds a state below -2: rank E(-inf, 0.3) = rank E0(-inf, 0.3) + 1
     pair = build_model(ModelSpec("lattice1d", 80, ((0, -2.0),)))
-    got = ladder_rung(pair).difference_spectrum(0.3)
+    got = ladder_rung(pair).cloud(_indicator(0.3))
     assert np.sum(np.abs(got - 1.0) <= 1e-8) == 1 and np.sum(np.abs(got + 1.0) <= 1e-8) == 0
     # V = 0: H shares H0's decomposition, W is the identity and D is exactly 0
     pair = build_model(ModelSpec("lattice1d", 80))
@@ -402,7 +433,7 @@ def test_difference_spectrum_measures_plus_minus_one_and_zero_potential():
     rung = ladder_rung(pair)
     assert np.array_equal(rung.overlap, np.eye(161))
     for lam in (-1.0, 0.0, 0.3):
-        assert np.array_equal(rung.difference_spectrum(lam), np.zeros(161))
+        assert np.array_equal(rung.cloud(_indicator(lam)), np.zeros(161))
 
 
 def test_orthonormality_and_residual():

@@ -114,6 +114,25 @@ def test_symbol_difference_dense_vs_step_path():
     assert np.linalg.norm(a - b, 2) <= 1e-10
 
 
+def test_complex_symbol_difference_on_both_paths():
+    # a complex symbol takes the complex-kappa step path and the complex functional calculus;
+    # both agree, and the difference is linear in the symbol: D(phi) = D(Re phi) + i D(Im phi)
+    pair = build_model(ModelSpec("lattice1d", 40, ((0, 0.8), (2, -0.6))))
+    jumps = ((-0.4, 0.5j, 1.0 - 0.25j), (0.3, 0.0, -0.5 + 1.0j))
+    phi = PiecewiseFn(jumps=jumps)
+    bumped = PiecewiseFn(jumps=jumps, background="gaussian_bump",
+                         background_params=(0.0, 0.0, 1.0))
+    assert not phi.is_real and np.iscomplexobj(phi(np.array([0.0])))
+    a = symbol_difference(pair, phi)                 # projection-block path
+    b = symbol_difference(pair, bumped)              # full functional calculus
+    assert np.iscomplexobj(a) and np.iscomplexobj(b)
+    assert np.max(np.abs(a - b)) <= 1e-12
+    re, im = (PiecewiseFn(jumps=tuple((loc, part(lo), part(hi)) for loc, lo, hi in jumps))
+              for part in (np.real, np.imag))
+    parts = symbol_difference(pair, re) + 1j * symbol_difference(pair, im)
+    assert np.max(np.abs(a - parts)) <= 1e-12
+
+
 def test_empirical_cloud_norm_bound():
     res = empirical_spectrum(ModelSpec("lattice1d", 50, ((0, 1.0),)), TWO_JUMP,
                              (100, 200))

@@ -67,20 +67,36 @@ def test_only_opcore_reads_the_band_margin_and_calls_arpack():
             assert not reads and not imports, info.name
 
 
+def _references():
+    # (module name, attribute names read, every name referenced or imported) per specdiff module
+    for info in pkgutil.iter_modules(specdiff.__path__):
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"specdiff.{info.name}")))
+        attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        refs = attrs | {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        refs |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                 for alias in node.names}
+        yield info.name, attrs, refs
+
+
 def test_only_opcore_chooses_the_rung_route():
     # the route rule and the even sector it selects (opcore.ladder_rung) are named nowhere else
     names = {"one_site_at_origin", "even_sector", "hopping_even_sector"}
-    for info in pkgutil.iter_modules(specdiff.__path__):
-        module = importlib.import_module(f"specdiff.{info.name}")
-        tree = ast.parse(inspect.getsource(module))
-        refs = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(tree)
-                if isinstance(node, (ast.Name, ast.Attribute))}
-        refs |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-                 for alias in node.names}
-        if info.name == "opcore":
+    for name, _, refs in _references():
+        if name == "opcore":
             assert names <= refs
         else:
-            assert not names & refs, info.name
+            assert not names & refs, name
+
+
+def test_only_the_rung_chooses_the_cloud_kernel():
+    # opcore reads no symbol (no attribute named jumps), and the kernels and the step test that
+    # chooses between them (Rung.cloud) are named nowhere else
+    kernels = {"_floor_singvals", "_floor_basis", "_one_step"}
+    for name, attrs, refs in _references():
+        if name == "opcore":
+            assert "jumps" not in attrs and kernels <= refs
+        else:
+            assert not kernels & refs, name
 
 
 def _pair():
