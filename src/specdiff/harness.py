@@ -21,7 +21,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .alpha import alpha_derivative, alpha_smatrix, d_spectrum_ladders, fredholm_check
-from .opcore import ModelSpec, build_model, in_band
+from .opcore import ModelSpec, _checked_int, build_model, in_band
 from .pcfunc import PiecewiseFn, empirical_spectrum, hausdorff, predicted_ess_spectrum
 from .resolvent import boundary_value
 from .scatter1d import smatrix_stationary, smatrix_transfer
@@ -33,7 +33,8 @@ class ConfigError(ValueError):
 
 def _expand_grid(grid):
     if isinstance(grid, dict):
-        return list(np.linspace(float(grid["min"]), float(grid["max"]), int(grid["count"])))
+        count = _checked_int(grid["count"], "lambda_grid count", ConfigError)
+        return list(np.linspace(float(grid["min"]), float(grid["max"]), count))
     return [float(x) for x in grid]
 
 
@@ -51,8 +52,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
-        object.__setattr__(self, "lambda_grid", tuple(float(x) for x in self.lambda_grid))
-        object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
+        object.__setattr__(self, "lambda_grid", tuple(_expand_grid(self.lambda_grid)))
+        object.__setattr__(self, "n_list",
+                           tuple(_checked_int(n, "n_list", ConfigError) for n in self.n_list))
+        object.__setattr__(self, "hankel_n", _checked_int(self.hankel_n, "hankel_n", ConfigError))
+        object.__setattr__(self, "hankel_t", float(self.hankel_t))
 
     @classmethod
     def from_json(cls, text):
@@ -63,20 +67,10 @@ class ExperimentConfig:
             for key in doc:
                 if key not in {f.name for f in fields(cls)}:
                     raise ConfigError(f"unknown config key {key!r}")
-            model = ModelSpec.from_json(json.dumps(doc["model"]))
-            phi = None
+            kwargs = dict(doc, model=ModelSpec.from_json(json.dumps(doc["model"])))
             if doc.get("phi") is not None:
-                phi = PiecewiseFn.from_json(json.dumps(doc["phi"]))
-            return cls(
-                kind=doc["kind"],
-                model=model,
-                lambda_grid=tuple(_expand_grid(doc.get("lambda_grid", []))),
-                n_list=tuple(doc.get("n_list", [])),
-                output_dir=doc.get("output_dir", "out"),
-                phi=phi,
-                hankel_n=int(doc.get("hankel_n", 200)),
-                hankel_t=float(doc.get("hankel_t", 50.0)),
-            )
+                kwargs["phi"] = PiecewiseFn.from_json(json.dumps(doc["phi"]))
+            return cls(**kwargs)
         except KeyError as exc:
             raise ConfigError(f"config lacks key {exc.args[0]!r}") from exc
         except TypeError as exc:

@@ -7,26 +7,30 @@ hopping_eigenpairs and solves only H), the one closed form of H0's spectrum
 (hopping_eigenvalues), the one band rule (in_band), the two singular-value
 routines (leading_singvals for the top value, _floor_singvals for every value
 above a floor, from the certified range basis of _floor_basis), spectral
-projections and functions of operators phi(H).  A ladder rung (Rung) holds a
-pair in H0's eigenbasis: both spectra, the overlap W = Phi^T Psi of the
-eigenvectors and G Phi.  Its one cloud method, cloud(f), gives the eigenvalues
-of f(H) - f(H0) for f, a map from an ascending whole spectrum to a symbol's
-values, and chooses its kernel from those values: a step's from two cross
-blocks of W, any other f's from a basis of M = W o (f(mu)^T - f(lambda))
-(mixed, symbol_factor), each certified to tol.CLOUD_FLOOR.  The rung reads no
-symbol; the convention at a jump is f's.  ladder_rung is the one place that
-chooses a rung's route, by one rule on the pair (one_site_at_origin): the even
-sector of a one-site V at lattice1d site 0 (even_sector: eigenvalues only, and
-W as a Cauchy matrix), or H0's closed form and one solve of H, with W and G
-Phi as sine transforms.  The two whole decompositions (eigendecompose_pair)
-stay the oracle.  Its thresholds are read from specdiff.tolerances.
+projections and functions of operators phi(H).  An eigenvalue meets a spectral
+point by one rule, which gives open windows (select_spectrum) and strict
+prefixes (count_below); a symbol's left limit at a jump is
+PiecewiseFn.on_spectrum's.  A ladder rung (Rung) holds a pair in H0's
+eigenbasis: both spectra, the overlap W = Phi^T Psi of the eigenvectors and G
+Phi.  Its one cloud method, cloud(f), gives the eigenvalues of f(H) - f(H0)
+for f, a map from an ascending whole spectrum to a symbol's values, and
+chooses its kernel from those values: a step's from two cross blocks of W,
+any other f's from a basis of M = W o (f(mu)^T - f(lambda)) (mixed,
+symbol_factor), each certified to tol.CLOUD_FLOOR.  The rung reads no symbol;
+the convention at a jump is f's.  ladder_rung is the one place that chooses a
+rung's route, by one rule on the pair (one_site_at_origin): the even sector
+of a one-site V at lattice1d site 0 (even_sector: eigenvalues only, and W as
+a Cauchy matrix), or H0's closed form and one solve of H, with W and G Phi as
+sine transforms.  The two whole decompositions, eig(pair, 'free') and
+eig(pair, 'full'), stay the oracle.  Its thresholds are read from
+specdiff.tolerances.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -39,10 +43,18 @@ class ModelError(ValueError):
     """Invalid model specification."""
 
 
+def _checked_int(value, name, error=ModelError) -> int:
+    """value as an int; error naming the field unless it is an integral number (not a bool)."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and (
+            isinstance(value, numbers.Integral) or float(value).is_integer()):
+        return int(value)
+    raise error(f"{name} must be an integer, got {value!r}")
+
+
 def _canonical_potential(potential):
     items = []
     for site, value in potential:
-        site = int(site)
+        site = _checked_int(site, "potential site")
         value = float(value)
         if value != 0.0:
             items.append((site, value))
@@ -74,6 +86,8 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ModelError(f"unsupported kind {self.kind!r}")
+        object.__setattr__(self, "n_half", _checked_int(self.n_half, "n_half"))
+        object.__setattr__(self, "seed", _checked_int(self.seed, "seed"))
         if self.n_half < 1:
             raise ModelError("n_half must be >= 1")
         object.__setattr__(self, "potential", _canonical_potential(self.potential))
@@ -108,13 +122,8 @@ class ModelSpec:
         for key in ("kind", "n_half"):
             if key not in doc:
                 raise ModelError(f"model config lacks {key!r}")
-        return cls(
-            kind=doc["kind"],
-            n_half=int(doc["n_half"]),
-            potential=tuple((int(s), float(v)) for s, v in doc.get("potential", ())),
-            decay_rate=doc.get("decay_rate"),
-            seed=int(doc.get("seed", 0)),
-        )
+        return cls(**{key: doc[key] for key in ("kind", "n_half", "potential", "decay_rate",
+                                                "seed") if key in doc})
 
 
 @dataclass(frozen=True)
@@ -290,17 +299,16 @@ def hopping_even_sector(n_half: int):
     return hopping_eigenvalues(m - 1, 2), np.full(n_half + 1, np.sqrt(2.0 / m))
 
 
-def eig(pair: OperatorPair, which: str, lo=-np.inf, hi=np.inf,
-        closed="neither") -> SpectralDecomposition:
-    """Eigenpairs of H0 (which='free') or H ('full') between lo and hi (select_spectrum).
+def eig(pair: OperatorPair, which: str, lo=-np.inf, hi=np.inf) -> SpectralDecomposition:
+    """Eigenpairs of H0 (which='free') or H ('full') strictly between lo and hi (select_spectrum).
 
     The one eigensolver of a model pair.  H0 is the hopping chain for every
     kind, so its eigenpairs come in closed form (hopping_eigenpairs), as do
     H's when V = 0.  Every solve of H is whole: tridiagonal models by
     eigh_tridiagonal on the bands of H0 plus the diagonal of V, so no dense
     matrix is formed, dense models by eigendecompose of pair.dense('full').
-    A window is then cut by select_spectrum at the whole spectrum's scale;
-    the whole spectrum (the default) is returned unselected.
+    The open window is then cut by select_spectrum at the whole spectrum's
+    scale; the whole spectrum (the default) is returned unselected.
     """
     from scipy import linalg            # looked up at call time, so it can be swapped
 
@@ -315,21 +323,8 @@ def eig(pair: OperatorPair, which: str, lo=-np.inf, hi=np.inf,
         dec = eigendecompose(pair.dense(which))
     if lo == -np.inf and hi == np.inf:
         return dec
-    sel = select_spectrum(dec.eigenvalues, lo, hi, closed)
+    sel = select_spectrum(dec.eigenvalues, lo, hi)
     return replace(dec, eigenvalues=dec.eigenvalues[sel], eigenvectors=dec.eigenvectors[:, sel])
-
-
-class PairDecomposition(NamedTuple):
-    """The whole decompositions of H0 and H (eigendecompose_pair)."""
-
-    free: SpectralDecomposition
-    full: SpectralDecomposition
-
-
-def eigendecompose_pair(pair: OperatorPair) -> PairDecomposition:
-    """(H0, H) decompositions of the whole spectra; one object for both when V = 0."""
-    free = eig(pair, "free")
-    return PairDecomposition(free, free if not pair.v.any() else eig(pair, "full"))
 
 
 @dataclass(frozen=True)
@@ -524,39 +519,22 @@ def snap_to_points(w, points) -> np.ndarray:
     return w
 
 
-def select_spectrum(w, lo=-np.inf, hi=np.inf, closed="neither") -> np.ndarray:
-    """Boolean mask of the eigenvalues w (a whole spectrum) lying between lo and hi.
+def select_spectrum(w, lo=-np.inf, hi=np.inf) -> np.ndarray:
+    """Boolean mask of the eigenvalues w (a whole spectrum) in the open window (lo, hi).
 
     This is the one rule by which eigenvalues are compared with spectral
     points: an eigenvalue on lo or hi (see snap_to_points) is treated as
-    equal to it, and closed ('neither', 'left' or 'right') says which
-    endpoint, if any, belongs to the set.  The result is the exact-arithmetic
-    selection whatever sign roundoff gave an eigenvalue that sits on an
-    endpoint.
+    equal to it, and so lies outside the window, whatever sign roundoff gave
+    it.  A half-open window [a, b) of an ascending w is the prefix below b less
+    the prefix below a (count_below).
     """
-    if closed not in ("neither", "left", "right"):
-        raise ValueError(f"unknown closed={closed!r}")
     w = snap_to_points(w, (lo, hi))
-    left = w >= lo if closed == "left" else w > lo
-    right = w <= hi if closed == "right" else w < hi
-    return left & right
+    return (w > lo) & (w < hi)
 
 
-def count_below(w, hi, closed="neither") -> int:
-    """The size of the prefix of the ascending whole spectrum w below hi (select_spectrum)."""
-    return int(np.count_nonzero(select_spectrum(w, hi=hi, closed=closed)))
-
-
-def spectral_block(w, vecs, hi, closed="neither") -> np.ndarray:
-    """Prefix view vecs[:, :k] of the eigenvectors for ascending w below hi (select_spectrum)."""
-    return vecs[:, :count_below(w, hi, closed)]
-
-
-def projection_difference(b0: np.ndarray, b1: np.ndarray) -> np.ndarray:
-    """b1 b1^T - b0 b0^T, the projection difference of two orthonormal blocks."""
-    d = b1 @ b1.T
-    d -= b0 @ b0.T
-    return d
+def count_below(w, hi) -> int:
+    """Size of the prefix of an ascending whole spectrum w strictly below hi (select_spectrum)."""
+    return int(np.count_nonzero(select_spectrum(w, hi=hi)))
 
 
 def spectral_projection(dec: SpectralDecomposition, lam: float) -> np.ndarray:
@@ -566,7 +544,7 @@ def spectral_projection(dec: SpectralDecomposition, lam: float) -> np.ndarray:
     spectral_point_tol (tol.SPECTRAL_POINT_ULPS * eps * ||M||) of lam equals lam
     and is left out, whichever sign its roundoff has (select_spectrum).
     """
-    vecs = spectral_block(dec.eigenvalues, dec.eigenvectors, lam)
+    vecs = dec.eigenvectors[:, :count_below(dec.eigenvalues, lam)]
     return vecs @ vecs.T
 
 
@@ -576,11 +554,8 @@ def apply_function(dec: SpectralDecomposition, phi) -> np.ndarray:
     phi maps the ascending whole spectrum to its values there, so the
     convention at a spectral point is phi's own (PiecewiseFn.on_spectrum).
     """
-    vals = np.asarray(phi(dec.eigenvalues))
     vecs = dec.eigenvectors
-    if np.iscomplexobj(vals):
-        return (vecs * vals) @ vecs.T.astype(complex)
-    return (vecs * vals) @ vecs.T
+    return (vecs * np.asarray(phi(dec.eigenvalues))) @ vecs.T
 
 
 def leading_singvals(a) -> float:

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import tolerances as tol
 from .alpha import nearest_distances, transient_filter
-from .opcore import (ModelSpec, OperatorPair, apply_function, build_model, eigendecompose_pair,
-                     in_band, ladder_rung, projection_difference, snap_to_points, spectral_block)
+from .opcore import (ModelSpec, OperatorPair, apply_function, build_model, eig, in_band,
+                     ladder_rung, snap_to_points)
 
 _BACKGROUNDS = ("zero", "gaussian_bump", "arctan_step_smoothed")
 
@@ -208,20 +208,22 @@ def symbol_difference(pair: OperatorPair, phi: PiecewiseFn) -> np.ndarray:
     """Dense phi(H) - phi(H0) by spectral calculus.
 
     An eigenvalue on a jump location takes the left limit, whichever sign its
-    roundoff has (PiecewiseFn.on_spectrum, opcore.select_spectrum).  Pure
-    step symbols reduce to differences of eigenvector-block projections
-    onto the eigenvalues at most the jump location.  This is the dense oracle,
-    formed in the site basis from both whole decompositions; the ladders
-    (empirical_spectrum, cross_term_compactness) read the rung instead.
+    roundoff has (PiecewiseFn.on_spectrum).  Pure step symbols reduce to
+    differences of eigenvector-block projections, each block as wide as the
+    indicator of (-inf, jump] counts on the spectrum.  This is the dense oracle,
+    formed in the site basis from both whole decompositions (opcore.eig); the
+    ladders (empirical_spectrum, cross_term_compactness) read the rung instead.
     """
-    dec0, dec1 = eigendecompose_pair(pair)
+    dec0, dec1 = eig(pair, "free"), eig(pair, "full")
     if phi.background == "zero" and phi.jumps:
         acc = None
         for loc, lo, hi in phi.jumps:
             kappa = hi - lo
-            b0, b1 = (spectral_block(dec.eigenvalues, dec.eigenvectors, loc, closed="right")
+            at_most = PiecewiseFn(jumps=((loc, 1.0, 0.0),)).on_spectrum
+            b0, b1 = (dec.eigenvectors[:, :int(at_most(dec.eigenvalues).sum())]
                       for dec in (dec0, dec1))
-            m = projection_difference(b0, b1)
+            m = b1 @ b1.T
+            m -= b0 @ b0.T
             if kappa.imag != 0:
                 m = m * (-kappa)
             elif kappa != -1.0:

@@ -22,8 +22,8 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from . import tolerances as tol
-from .opcore import (OperatorPair, eig, first_true, in_band, leading_singvals, near_band_edge,
-                     unbatch)
+from .opcore import (OperatorPair, count_below, eig, first_true, in_band, leading_singvals,
+                     near_band_edge, unbatch)
 
 
 class ResolventError(ValueError):
@@ -257,8 +257,9 @@ def stone_consistency(pair: OperatorPair, a, b, grid) -> float:
     """Stone's formula check: || (1/pi) int_a^b B0 - (F0(b) - F0(a)) ||.
 
     B0 comes from the closed-form route; F0 differences from the truncated
-    spectral projection E0[a, b) of the pair at its own truncation (opcore.eig),
-    with endpoints decided in exact arithmetic (opcore.select_spectrum).
+    spectral projection E0[a, b) of the pair at its own truncation (opcore.eig):
+    the columns from the prefix below a to the prefix below b, with endpoints
+    decided in exact arithmetic (opcore.count_below).
     """
     if grid < 8:
         raise ResolventError("grid must be >= 8")
@@ -268,5 +269,7 @@ def stone_consistency(pair: OperatorPair, a, b, grid) -> float:
     vals = t0_of_z(pair, lams, mode="infinite_lattice").imag
     quad = np.trapezoid(vals, lams, axis=0) / np.pi
 
-    gv = pair.g @ eig(pair, "free", a, b, closed="left").eigenvectors
+    dec = eig(pair, "free")
+    w = dec.eigenvalues
+    gv = pair.g @ dec.eigenvectors[:, count_below(w, a):count_below(w, b)]
     return leading_singvals(quad - gv @ gv.T)

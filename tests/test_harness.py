@@ -196,6 +196,39 @@ def test_model_config_keys(tmp_path):
     assert res.exit_code == 0 and "config ok" in res.output
 
 
+def test_integer_fields_are_checked_not_truncated(tmp_path):
+    # a non-integral or non-numeric value names its field, whether it comes from JSON or not;
+    # an integral float is its integer
+    model_cases = [({"n_half": 10.5}, "n_half"), ({"seed": 1.5}, "seed"),
+                   ({"potential": [[0.5, 1.0]]}, "potential site"),
+                   ({"n_half": "10"}, "n_half"), ({"n_half": True}, "n_half")]
+    for change, field in model_cases:
+        doc = dict(MODEL, **change)
+        with pytest.raises(opcore.ModelError, match=field):
+            opcore.ModelSpec.from_json(json.dumps(doc))
+        with pytest.raises(opcore.ModelError, match=field):
+            ExperimentConfig.from_json(json.dumps(_config(tmp_path, model=doc)))
+        with pytest.raises(opcore.ModelError, match=field):
+            opcore.ModelSpec(**doc)
+    config_cases = [({"n_list": [250.7, 500, 1000]}, "n_list"), ({"n_list": ["x"]}, "n_list"),
+                    ({"hankel_n": 12.9}, "hankel_n"), ({"hankel_n": "abc"}, "hankel_n"),
+                    ({"lambda_grid": {"min": -1.0, "max": 1.0, "count": 2.5}}, "count")]
+    for change, field in config_cases:
+        with pytest.raises(ConfigError, match=field):
+            ExperimentConfig.from_json(json.dumps(_config(tmp_path, **change)))
+    with pytest.raises(ConfigError, match="n_list"):
+        ExperimentConfig("d_ladder", opcore.ModelSpec("lattice1d", 5), n_list=(250.7,))
+    cfg = ExperimentConfig.from_json(json.dumps(_config(
+        tmp_path, model=dict(MODEL, n_half=50.0, potential=[[0.0, 0.5]]), n_list=[250.0],
+        hankel_n=12.0)))
+    assert cfg.model == opcore.ModelSpec("lattice1d", 50, ((0, 0.5),))
+    assert cfg.n_list == (250,) and cfg.hankel_n == 12
+    assert all(type(n) is int for n in (cfg.model.n_half, cfg.model.seed, *cfg.n_list))
+    # the defaults are the dataclass's own
+    cfg = ExperimentConfig.from_json(json.dumps({"kind": "alpha_sweep", "model": MODEL}))
+    assert (cfg.output_dir, cfg.hankel_n, cfg.hankel_t) == ("out", 200, 50.0)
+
+
 def test_cli_out_override_and_overwrite(tmp_path):
     runner = CliRunner()
     cfg_path = _write(tmp_path, _config(tmp_path))
@@ -364,6 +397,17 @@ def test_failed_build_records_every_point(tmp_path, monkeypatch, kind):
     assert len(lines) == 1 and lines[0].startswith("lambda,")
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["status"] == "partial" and len(manifest["errors"]) == 3
+
+
+def test_every_lazy_export_resolves():
+    # specdiff.__all__ loads on first access (PEP 562): each name must exist in its module,
+    # so a deleted function cannot stay listed
+    assert len(specdiff.__all__) == len(set(specdiff.__all__)) > 0
+    for name in specdiff.__all__:
+        obj = getattr(specdiff, name)
+        assert getattr(obj, "__name__", name) == name, name
+    with pytest.raises(AttributeError):
+        getattr(specdiff, "no_such_function")
 
 
 def test_threads_option_takes_effect_before_numpy_loads(tmp_path):

@@ -23,6 +23,7 @@ from specdiff.hankelmodel import build_l_operators
 from specdiff.opcore import (ModelSpec, build_model, eig, spectral_point_tol,
                              spectral_projection)
 from specdiff.pcfunc import PiecewiseFn, symbol_difference
+from specdiff.resolvent import stone_consistency
 
 ULP = np.spacing(2.0)            # ||H0|| < 2 for every truncation
 OFFSETS = (-4.0 * ULP, 0.0, 4.0 * ULP)
@@ -106,6 +107,12 @@ def _selections_at_zero():
             pair, PiecewiseFn(jumps=((0.0, 0.0, 0.5),), background="gaussian_bump",
                               background_params=(0.25, 0.0, 1.0)))
         out[f"b16_{n}"] = build_l_operators(pair, 0.0, 64, 20.0)["residual_b16"]
+
+    # Stone windows [a, b) ending on H0's exact eigenvalues 0 and +-1; V sits at site 1,
+    # since H0's 0 mode vanishes at site 0 and a V there would not see it
+    pair = build_model(ModelSpec("lattice1d", 11, ((1, 1.0),)))
+    for a, b in ((0.0, 1.0), (-1.0, 0.0)):
+        out[f"stone_{a}_{b}"] = stone_consistency(pair, a, b, 16)
     return out
 
 
@@ -145,3 +152,8 @@ def test_selection_at_zero_gives_the_exact_arithmetic_answer(by_offset):
         at_most_zero = int(np.sum(w1 < -1e-9) + np.sum(np.abs(w1) <= 1e-9))
         assert np.trace(out[f"step_{n}"]) == pytest.approx(0.5 * (n + 1 - at_most_zero),
                                                            abs=1e-10)
+    # [0, 1) holds the 0 mode, which (1e-9, 1) leaves out; [-1, 0) holds -1 but not 0
+    pair = build_model(ModelSpec("lattice1d", 11, ((1, 1.0),)))
+    assert stone_consistency(pair, 1e-9, 1.0, 16) == pytest.approx(0.0753, abs=5e-5)
+    assert out["stone_0.0_1.0"] == pytest.approx(0.00802, abs=5e-6)
+    assert out["stone_-1.0_0.0"] == pytest.approx(0.01281, abs=5e-6)

@@ -15,9 +15,8 @@ from specdiff.hankelmodel import build_l_operators
 from specdiff.harness import ExperimentConfig, run, validate
 from specdiff.opcore import (ModelError, ModelSpec, OperatorPair, Rung, _floor_singvals,
                              apply_function, build_model, count_below, eig, eigendecompose,
-                             eigendecompose_pair, even_sector, hopping_eigenpairs, ladder_rung,
-                             one_site_at_origin, projection_difference, select_spectrum,
-                             spectral_block, spectral_projection)
+                             even_sector, hopping_eigenpairs, ladder_rung, one_site_at_origin,
+                             select_spectrum, spectral_projection)
 from specdiff.pcfunc import PiecewiseFn, SymbolError, predicted_ess_spectrum, symbol_difference
 from specdiff.resolvent import ResolventError, boundary_value, stone_consistency, t0_of_z
 from specdiff.scatter1d import ScatteringError, smatrix_transfer
@@ -73,7 +72,7 @@ def test_tridiagonal_pair_stores_no_square_array(monkeypatch):
     spec = ModelSpec("lattice1d", 30, ((0, 1.0), (2, -0.5)))
     pair = build_model(spec)
     assert eig(pair, "full").eigenvalues.size == 61
-    assert eig(pair, "free", -0.5, 0.5, "left").eigenvalues.size > 0
+    assert eig(pair, "free", -0.5, 0.5).eigenvalues.size > 0
     assert t0_of_z(pair, 0.3 + 0.5j, "truncated").shape == (2, 2)
     assert build_l_operators(pair, 0.2, 16, 20.0)["L0"].shape == (61, 32)
     assert len(d_spectrum_ladders(spec, (-0.5, 0.3), (20, 30, 40))) == 2
@@ -156,15 +155,20 @@ def test_closed_form_free_eigenpairs_match_the_dense_oracle(spec):
 
 
 def _indicator(lam, closed="neither"):
-    # the step 1 below lam, 0 above it, as a map from a whole spectrum to its values (Rung.cloud)
-    return lambda w: select_spectrum(w, hi=lam, closed=closed).astype(float)
+    # the step 1 below lam, 0 above it, as a map from a whole spectrum to its values (Rung.cloud):
+    # an eigenvalue on lam takes 0 (closed "neither", select_spectrum) or, as a symbol's left
+    # limit, 1 (closed "right", PiecewiseFn.on_spectrum)
+    if closed == "right":
+        return PiecewiseFn(jumps=((lam, 1.0, 0.0),)).on_spectrum
+    return lambda w: select_spectrum(w, hi=lam).astype(float)
 
 
 def _dense_difference_spectrum(pair, lam, closed, decs=None):
     # the oracle: dense decompositions, the n x n D, and its eigvalsh
     decs = decs or [eigendecompose(pair.dense(which)) for which in ("free", "full")]
-    b0, b1 = (spectral_block(d.eigenvalues, d.eigenvectors, lam, closed) for d in decs)
-    return np.linalg.eigvalsh(projection_difference(b0, b1))
+    b0, b1 = (d.eigenvectors[:, :int(_indicator(lam, closed)(d.eigenvalues).sum())]
+              for d in decs)
+    return np.linalg.eigvalsh(b1 @ b1.T - b0 @ b0.T)
 
 
 DIFFERENCE_CASES = [
@@ -210,11 +214,10 @@ def test_even_sector_cloud_matches_the_dense_oracle(spec, lam, closed):
     if lam == -3.0:
         assert not got.any()
     # the sector's eigenvalues are H0's and H's whole spectra less the odd modes, which they share
-    whole = eigendecompose_pair(pair)
+    free, full = eig(pair, "free").eigenvalues, eig(pair, "full").eigenvalues
     odd = np.setdiff1d(np.arange(spec.dim), np.arange(0, spec.dim, 2))
-    assert np.array_equal(sec.free, whole.free.eigenvalues[::2])
-    assert np.allclose(np.sort(np.concatenate([sec.full, whole.free.eigenvalues[odd]])),
-                       whole.full.eigenvalues, rtol=0, atol=1e-12)
+    assert np.array_equal(sec.free, free[::2])
+    assert np.allclose(np.sort(np.concatenate([sec.full, free[odd]])), full, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("spec", [
@@ -428,8 +431,9 @@ def test_difference_spectrum_measures_plus_minus_one_and_zero_potential():
     assert np.sum(np.abs(got - 1.0) <= 1e-8) == 1 and np.sum(np.abs(got + 1.0) <= 1e-8) == 0
     # V = 0: H shares H0's decomposition, W is the identity and D is exactly 0
     pair = build_model(ModelSpec("lattice1d", 80))
-    dec0, dec1 = eigendecompose_pair(pair)
-    assert dec1 is dec0
+    dec0, dec1 = eig(pair, "free"), eig(pair, "full")
+    assert np.array_equal(dec1.eigenvalues, dec0.eigenvalues)
+    assert np.array_equal(dec1.eigenvectors, dec0.eigenvectors)
     rung = ladder_rung(pair)
     assert np.array_equal(rung.overlap, np.eye(161))
     for lam in (-1.0, 0.0, 0.3):
@@ -459,34 +463,37 @@ def test_spectral_projection_extremes_and_rank():
     assert np.linalg.norm(p - p.T, 2) <= 1e-10
 
 
-@pytest.mark.parametrize("closed", ["neither", "left", "right"])
-def test_eig_window_on_an_exact_eigenvalue_same_on_both_routes(closed):
+def test_eig_window_on_an_exact_eigenvalue_same_on_both_routes():
     # 0 = 2 cos(12 pi / 24) and +-1 = 2 cos(8 pi / 24), 2 cos(16 pi / 24) are
-    # exact eigenvalues of the 23-site H0 (and 0 of H, for odd N); windows
-    # ending on them select them by closed alone, on eig's route and on the
-    # dense oracle's
+    # exact eigenvalues of the 23-site H0 (and 0 of H, for odd N); open windows
+    # ending on them leave them out, on eig's route and on the dense oracle's
     pair = build_model(ModelSpec("lattice1d", 11, ((0, 1.0),)))
     windows = ((0.0, 1.0), (-1.0, 0.0))
     calls = [(which, lo, hi) for which in ("free", "full") for lo, hi in windows]
-    tri = [eig(pair, which, lo, hi, closed) for which, lo, hi in calls]
+    tri = [eig(pair, which, lo, hi) for which, lo, hi in calls]
     dense = []
     for which, lo, hi in calls:
         dec = eigendecompose(pair.dense(which))
-        sel = select_spectrum(dec.eigenvalues, lo, hi, closed)
+        sel = select_spectrum(dec.eigenvalues, lo, hi)
         dense.append(replace(dec, eigenvalues=dec.eigenvalues[sel],
                              eigenvectors=dec.eigenvectors[:, sel]))
     for (which, lo, hi), a, b in zip(calls, tri, dense):
-        assert a.eigenvalues.size == b.eigenvalues.size, (which, lo, closed)
+        assert a.eigenvalues.size == b.eigenvalues.size, (which, lo)
         assert np.allclose(a.eigenvalues, b.eigenvalues, atol=1e-12)
         pa, pb = (d.eigenvectors @ d.eigenvectors.T for d in (a, b))
         assert np.allclose(pa, pb, atol=1e-10)
     # exact selections for H0: three eigenvalues inside each window (k = 9..11
-    # and 13..15), plus the endpoint eigenvalue that closed admits
-    admitted = {"neither": (None, None), "left": (0.0, -1.0), "right": (1.0, 0.0)}[closed]
-    for dec, end in zip(tri[:2], admitted):
-        assert dec.eigenvalues.size == 3 + (end is not None)
-        if end is not None:
-            assert np.min(np.abs(dec.eigenvalues - end)) <= 1e-14
+    # and 13..15); the half-open [lo, hi) of the prefixes below lo and below hi
+    # (count_below) adds lo, and the (lo, hi] of the indicators of (-inf, lo]
+    # and (-inf, hi] (PiecewiseFn.on_spectrum) adds hi
+    w = eig(pair, "free").eigenvalues
+    for dec, (lo, hi) in zip(tri[:2], windows):
+        assert dec.eigenvalues.size == 3
+        left = w[count_below(w, lo):count_below(w, hi)]
+        at_most = [int(_indicator(x, "right")(w).sum()) for x in (lo, hi)]
+        right = w[at_most[0]:at_most[1]]
+        assert left.size == right.size == 4
+        assert abs(left[0] - lo) <= 1e-14 and abs(right[-1] - hi) <= 1e-14
 
 
 def test_apply_function_constant_and_indicator():

@@ -99,6 +99,22 @@ def test_only_the_rung_chooses_the_cloud_kernel():
             assert not kernels & refs, name
 
 
+def test_one_owner_for_each_spectral_point_convention():
+    # an eigenvalue on a window's end is outside it (opcore.select_spectrum, open windows only),
+    # and a symbol takes its left limit at a jump (PiecewiseFn.on_spectrum): no module defines or
+    # passes a parameter that picks a side, and pcfunc meets a spectrum only through on_spectrum
+    for info in pkgutil.iter_modules(specdiff.__path__):
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"specdiff.{info.name}")))
+        params = {arg.arg for node in ast.walk(tree) if isinstance(node, ast.arguments)
+                  for arg in node.posonlyargs + node.args + node.kwonlyargs}
+        keywords = {kw.arg for node in ast.walk(tree) if isinstance(node, ast.Call)
+                    for kw in node.keywords}
+        assert "closed" not in params | keywords, info.name
+    refs = {name: refs for name, _, refs in _references()}
+    assert not {"select_spectrum", "count_below"} & refs["pcfunc"]
+    assert {"snap_to_points", "on_spectrum"} <= refs["pcfunc"]
+
+
 def _pair():
     return build_model(ModelSpec("lattice1d", 50, ((0, 0.5),)))
 
