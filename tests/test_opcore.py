@@ -463,37 +463,51 @@ def test_spectral_projection_extremes_and_rank():
     assert np.linalg.norm(p - p.T, 2) <= 1e-10
 
 
-def test_eig_window_on_an_exact_eigenvalue_same_on_both_routes():
+def _window(w, lo, hi, closed):
+    # the columns of an ascending whole spectrum w in a window with ends lo < hi:
+    # (lo, hi) by select_spectrum ("neither"), [lo, hi) from the prefixes below
+    # lo and below hi (count_below, "left"), and (lo, hi] from the indicators of
+    # (-inf, lo] and (-inf, hi] (PiecewiseFn.on_spectrum, "right")
+    if closed == "neither":
+        return np.flatnonzero(select_spectrum(w, lo, hi))
+    if closed == "left":
+        return np.arange(count_below(w, lo), count_below(w, hi))
+    at_most = [int(_indicator(x, "right")(w).sum()) for x in (lo, hi)]
+    return np.arange(*at_most)
+
+
+@pytest.mark.parametrize("closed", ["neither", "left", "right"])
+def test_eig_window_on_an_exact_eigenvalue_same_on_both_routes(closed):
     # 0 = 2 cos(12 pi / 24) and +-1 = 2 cos(8 pi / 24), 2 cos(16 pi / 24) are
-    # exact eigenvalues of the 23-site H0 (and 0 of H, for odd N); open windows
-    # ending on them leave them out, on eig's route and on the dense oracle's
+    # exact eigenvalues of the 23-site H0 (and 0 of H, for odd N); windows
+    # ending on them select them by their convention alone, on eig's route and
+    # on the dense oracle's (eig itself gives the open window)
     pair = build_model(ModelSpec("lattice1d", 11, ((0, 1.0),)))
     windows = ((0.0, 1.0), (-1.0, 0.0))
     calls = [(which, lo, hi) for which in ("free", "full") for lo, hi in windows]
-    tri = [eig(pair, which, lo, hi) for which, lo, hi in calls]
-    dense = []
+    tri, dense = [], []
     for which, lo, hi in calls:
-        dec = eigendecompose(pair.dense(which))
-        sel = select_spectrum(dec.eigenvalues, lo, hi)
-        dense.append(replace(dec, eigenvalues=dec.eigenvalues[sel],
-                             eigenvectors=dec.eigenvectors[:, sel]))
+        for out, dec in ((tri, eig(pair, which)), (dense, eigendecompose(pair.dense(which)))):
+            sel = _window(dec.eigenvalues, lo, hi, closed)
+            out.append(replace(dec, eigenvalues=dec.eigenvalues[sel],
+                               eigenvectors=dec.eigenvectors[:, sel]))
+    if closed == "neither":
+        for (which, lo, hi), a in zip(calls, tri):
+            b = eig(pair, which, lo, hi)
+            assert np.array_equal(a.eigenvalues, b.eigenvalues), (which, lo)
+            assert np.array_equal(a.eigenvectors, b.eigenvectors), (which, lo)
     for (which, lo, hi), a, b in zip(calls, tri, dense):
-        assert a.eigenvalues.size == b.eigenvalues.size, (which, lo)
+        assert a.eigenvalues.size == b.eigenvalues.size, (which, lo, closed)
         assert np.allclose(a.eigenvalues, b.eigenvalues, atol=1e-12)
         pa, pb = (d.eigenvectors @ d.eigenvectors.T for d in (a, b))
         assert np.allclose(pa, pb, atol=1e-10)
     # exact selections for H0: three eigenvalues inside each window (k = 9..11
-    # and 13..15); the half-open [lo, hi) of the prefixes below lo and below hi
-    # (count_below) adds lo, and the (lo, hi] of the indicators of (-inf, lo]
-    # and (-inf, hi] (PiecewiseFn.on_spectrum) adds hi
-    w = eig(pair, "free").eigenvalues
-    for dec, (lo, hi) in zip(tri[:2], windows):
-        assert dec.eigenvalues.size == 3
-        left = w[count_below(w, lo):count_below(w, hi)]
-        at_most = [int(_indicator(x, "right")(w).sum()) for x in (lo, hi)]
-        right = w[at_most[0]:at_most[1]]
-        assert left.size == right.size == 4
-        assert abs(left[0] - lo) <= 1e-14 and abs(right[-1] - hi) <= 1e-14
+    # and 13..15), plus the endpoint eigenvalue that the convention admits
+    admitted = {"neither": (None, None), "left": (0.0, -1.0), "right": (1.0, 0.0)}[closed]
+    for dec, end in zip(tri[:2], admitted):
+        assert dec.eigenvalues.size == 3 + (end is not None)
+        if end is not None:
+            assert np.min(np.abs(dec.eigenvalues - end)) <= 1e-14
 
 
 def test_apply_function_constant_and_indicator():
