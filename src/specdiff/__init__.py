@@ -15,8 +15,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "alpha": ("AlphaEstimate", "EssSpectrumEstimate", "alpha_derivative",
-              "alpha_proj_limit", "alpha_smatrix", "d_spectrum_ladder",
-              "d_spectrum_ladders", "fredholm_check"),
+              "alpha_proj_limit", "alpha_smatrix", "d_spectrum_ladder", "fredholm_check"),
     "harness": ("ExperimentConfig", "RunRecord", "run", "validate"),
     "hankelmodel": ("HankelDiscretization", "build_l_operators", "gamma_matrix",
                     "gamma_tensor_spectrum", "hankel_bound_check"),

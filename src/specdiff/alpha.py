@@ -4,8 +4,8 @@ alpha(lambda) = lim (pi/2eps) ||(G E0(lambda-eps,lambda+eps))^T J G E(...)||
 is computed (i) from the derivative formula pi ||F0'^(1/2) J F'^(1/2)||,
 (ii) from the unitary S-tilde matrix, (iii) from the projection-window limit
 on finite truncations.  d_spectrum_ladder tracks the eigenvalue cloud of
-D = E(-inf,lambda) - E0(-inf,lambda) along a ladder of truncations, and
-d_spectrum_ladders does so for many lambda from one decomposition per rung.
+D = E(-inf,lambda) - E0(-inf,lambda) along a ladder of truncations, for one
+lambda or a lambda batch from one decomposition per rung.
 The ladders and alpha_proj_limit read only the rung (opcore.ladder_rung),
 which chooses its route from the pair; D's cloud is Rung.cloud of the step 1
 strictly below lambda (select_spectrum).  E0 is an exact prefix mask in the rung
@@ -16,7 +16,8 @@ psd_sqrt, alpha_derivative, stilde_matrix, alpha_smatrix and fredholm_check
 take the BoundaryValue of one lambda or of a lambda batch (stacked matrices,
 resolvent.boundary_value); for a batch their values are arrays, one entry per
 lambda, and every check runs on every point and raises with the message of the
-first point that fails.
+first point that fails.  V = 0 gives 0 x 0 matrices, on which the same code
+gives alpha = 0.
 """
 
 from __future__ import annotations
@@ -86,25 +87,16 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
 
     m is one matrix or a stack of them; each is checked.
     """
-    if m.size == 0:
-        return m.copy()
     w, v = np.linalg.eigh((m + np.swapaxes(m, -1, -2)) / 2)
-    w_min = w.min(axis=-1)
+    w_min = w.min(axis=-1, initial=np.inf)
     i = first_true(w_min < -tol.PSD_FLOOR)
     if i is not None:
         raise AlphaError(f"matrix not PSD (min eigenvalue {np.ravel(w_min)[i]:.3e})")
     return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.swapaxes(v, -1, -2)
 
 
-def _zeros(bv):
-    # the value of an empty support: 0 at every lambda of bv
-    return unbatch(np.zeros(np.shape(bv.lam)))
-
-
 def alpha_derivative(bv: BoundaryValue, j: np.ndarray) -> AlphaEstimate:
     """alpha(lambda) = pi ||F0'(lambda)^(1/2) J F'(lambda)^(1/2)||."""
-    if bv.t0.size == 0:
-        return AlphaEstimate(lam=bv.lam, value=_zeros(bv), route="derivative")
     m = psd_sqrt(bv.f0p) @ j @ psd_sqrt(bv.fp)
     value = np.pi * np.linalg.norm(m, 2, axis=(-2, -1))
     return AlphaEstimate(lam=bv.lam, value=unbatch(value), route="derivative",
@@ -113,19 +105,14 @@ def alpha_derivative(bv: BoundaryValue, j: np.ndarray) -> AlphaEstimate:
 
 def stilde_matrix(bv: BoundaryValue, j: np.ndarray) -> np.ndarray:
     """Unitary S-tilde(lambda) = I - 2i B0^(1/2) (J - J T J) B0^(1/2)."""
-    k = bv.t0.shape[-1]
-    if k == 0:
-        return np.zeros(bv.t0.shape, dtype=complex)
     root = psd_sqrt(bv.b0)
-    return np.eye(k) - 2j * root @ (j - j @ bv.t @ j) @ root
+    return np.eye(bv.t0.shape[-1]) - 2j * root @ (j - j @ bv.t @ j) @ root
 
 
 def alpha_smatrix(bv: BoundaryValue, j: np.ndarray) -> AlphaEstimate:
     """alpha(lambda) = ||S-tilde(lambda) - I|| / 2, with unitarity asserted."""
     st = stilde_matrix(bv, j)
     k = st.shape[-1]
-    if k == 0:
-        return AlphaEstimate(lam=bv.lam, value=_zeros(bv), route="smatrix_tilde")
     defect = np.linalg.norm(np.swapaxes(st.conj(), -1, -2) @ st - np.eye(k), 2, axis=(-2, -1))
     i = first_true(defect > tol.UNITARITY)
     if i is not None:
@@ -155,7 +142,7 @@ def alpha_proj_limit(pair: OperatorPair, lam, eps_schedule) -> AlphaEstimate:
                              "for the truncation")
     if pair.spec.kind == "lattice1d" and not in_band(lam):
         raise AlphaError(f"lambda={lam} within band_margin of the band edge")
-    if pair.k_dim == 0:
+    if pair.k_dim == 0:          # a V = 0 rung is W = I, n x n, for a value known to be 0
         diag = [(e, 0.0) for e in eps_schedule]
     else:
         rung = ladder_rung(pair)
@@ -208,32 +195,22 @@ def transient_filter(cloud, prev_cloud, move_tol=None):
     return cloud[nearest_distances(cloud, prev) <= move_tol]
 
 
-def d_spectrum_ladders(spec: ModelSpec, lams, n_list) -> tuple:
-    """d_spectrum_ladder for every lambda in lams, one EssSpectrumEstimate each.
-
-    Each rung is built and decomposed once (opcore.ladder_rung, which chooses
-    the route from the pair), and every lambda reads only the rung: its spectra
-    and the overlap W = Phi^T Psi in H0's eigenbasis.  The cloud of every lambda
-    is Rung.cloud of the step 1 below lambda (select_spectrum): the singular
-    values of two cross blocks of W.  E0 is an exact prefix mask, so
-    the D^2 residual is Q^2 - Q for Q = W1 W1^T, W1 = W[:, :k1]: W's
-    orthogonality defect, from the eigenvalues of W1^T W1 (_b4_residual_norm).
-    """
-    return _ladders(spec, lams, n_list)
-
-
-def d_spectrum_ladder(spec: ModelSpec, lam, n_list) -> EssSpectrumEstimate:
+def d_spectrum_ladder(spec: ModelSpec, lam, n_list):
     """Eigenvalue clouds of D = E(-inf,lam) - E0(-inf,lam) along a truncation ladder.
 
-    E(-inf, lam) is strictly below lam in exact arithmetic
-    (opcore.select_spectrum): an eigenvalue on lam is left out.
+    lam is one lambda, which gives one EssSpectrumEstimate, or a 1-D array of
+    them, which gives a tuple of them, one per lambda.  Each rung is built and
+    decomposed once (opcore.ladder_rung, which chooses the route from the
+    pair), and every lambda reads only the rung: its spectra and the overlap
+    W = Phi^T Psi in H0's eigenbasis.  The cloud of every lambda is Rung.cloud
+    of the step 1 strictly below lambda (select_spectrum: an eigenvalue on
+    lambda is left out), the singular values of two cross blocks of W.  E0 is
+    an exact prefix mask, so the D^2 residual is Q^2 - Q for Q = W1 W1^T,
+    W1 = W[:, :k1]: W's orthogonality defect, from the eigenvalues of W1^T W1
+    (_b4_residual_norm).
     """
-    return _ladders(spec, (lam,), n_list)[0]
-
-
-def _ladders(spec, lams, n_list):
-    # the body of both public names, so that a traced call of either is one span
-    lams = tuple(float(lam) for lam in lams)
+    batch = np.ndim(lam) > 0
+    lams = np.ravel(np.asarray(lam, dtype=float)).tolist()
     n_list = tuple(int(n) for n in n_list)
     if len(n_list) < 3 or list(n_list) != sorted(n_list):
         raise AlphaError("n_list must be ascending with at least 3 entries")
@@ -241,11 +218,11 @@ def _ladders(spec, lams, n_list):
     residuals = [[] for _ in lams]
     for n in n_list:
         rung = ladder_rung(build_model(replace(spec, n_half=n)))
-        for i, lam in enumerate(lams):
-            residuals[i].append(_b4_residual_norm(rung.overlap[:, :count_below(rung.full, lam)]))
-            clouds[i].append(rung.cloud(
-                lambda w, lam=lam: select_spectrum(w, hi=lam).astype(float)))
-    return tuple(_ess_estimate(lam, n_list, c, r) for lam, c, r in zip(lams, clouds, residuals))
+        for i, x in enumerate(lams):
+            residuals[i].append(_b4_residual_norm(rung.overlap[:, :count_below(rung.full, x)]))
+            clouds[i].append(rung.cloud(lambda w, x=x: select_spectrum(w, hi=x).astype(float)))
+    ests = tuple(_ess_estimate(x, n_list, c, r) for x, c, r in zip(lams, clouds, residuals))
+    return ests if batch else ests[0]
 
 
 def _ess_estimate(lam, n_list, clouds, residuals) -> EssSpectrumEstimate:
@@ -272,8 +249,8 @@ def fredholm_check(bv: BoundaryValue, j: np.ndarray) -> dict:
     on the same side of tol.KERNEL_TOL.
     """
     k = bv.t0.shape[-1]
-    if k == 0:
-        one = _zeros(bv) + 1.0
+    if k == 0:                   # sigma_min of an empty matrix is 1 by convention
+        one = unbatch(np.ones(np.shape(bv.lam)))
         return {"sigma_min_0": one, "sigma_min_1": one, "fredholm": one > tol.KERNEL_TOL}
     s0 = np.linalg.svd(np.eye(k) + bv.a0 @ j, compute_uv=False).min(axis=-1)
     s1 = np.linalg.svd(np.eye(k) - bv.a @ j, compute_uv=False).min(axis=-1)

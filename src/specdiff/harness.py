@@ -20,8 +20,8 @@ from functools import partial
 import numpy as np
 
 from . import tolerances as tol
-from .alpha import alpha_derivative, alpha_smatrix, d_spectrum_ladders, fredholm_check
-from .opcore import ModelSpec, _checked_int, build_model, in_band
+from .alpha import alpha_derivative, alpha_smatrix, d_spectrum_ladder, fredholm_check
+from .opcore import ModelSpec, _checked_float, _checked_int, _checked_keys, build_model, in_band
 from .pcfunc import PiecewiseFn, empirical_spectrum, hausdorff, predicted_ess_spectrum
 from .resolvent import boundary_value
 from .scatter1d import smatrix_stationary, smatrix_transfer
@@ -33,9 +33,12 @@ class ConfigError(ValueError):
 
 def _expand_grid(grid):
     if isinstance(grid, dict):
+        _checked_keys(grid, ("min", "max", "count"), "lambda_grid", ConfigError)
         count = _checked_int(grid["count"], "lambda_grid count", ConfigError)
-        return list(np.linspace(float(grid["min"]), float(grid["max"]), count))
-    return [float(x) for x in grid]
+        return list(np.linspace(_checked_float(grid["min"], "lambda_grid min", ConfigError),
+                                _checked_float(grid["max"], "lambda_grid max", ConfigError),
+                                count))
+    return [_checked_float(x, "lambda_grid", ConfigError) for x in grid]
 
 
 @dataclass(frozen=True)
@@ -56,7 +59,7 @@ class ExperimentConfig:
         object.__setattr__(self, "n_list",
                            tuple(_checked_int(n, "n_list", ConfigError) for n in self.n_list))
         object.__setattr__(self, "hankel_n", _checked_int(self.hankel_n, "hankel_n", ConfigError))
-        object.__setattr__(self, "hankel_t", float(self.hankel_t))
+        object.__setattr__(self, "hankel_t", _checked_float(self.hankel_t, "hankel_t", ConfigError))
 
     @classmethod
     def from_json(cls, text):
@@ -64,9 +67,7 @@ class ExperimentConfig:
         try:
             if "kind" not in doc or "model" not in doc:
                 raise ConfigError("config must carry 'kind' and 'model'")
-            for key in doc:
-                if key not in {f.name for f in fields(cls)}:
-                    raise ConfigError(f"unknown config key {key!r}")
+            _checked_keys(doc, {f.name for f in fields(cls)}, "config", ConfigError)
             kwargs = dict(doc, model=ModelSpec.from_json(json.dumps(doc["model"])))
             if doc.get("phi") is not None:
                 kwargs["phi"] = PiecewiseFn.from_json(json.dumps(doc["phi"]))
@@ -269,7 +270,7 @@ def _d_ladder_name(lam):
 
 
 def _run_d_ladder(config, emit, record):
-    ests = d_spectrum_ladders(config.model, config.lambda_grid, config.n_list)
+    ests = d_spectrum_ladder(config.model, np.array(config.lambda_grid), config.n_list)
     for lam, est in zip(config.lambda_grid, ests):
         emit.write(_d_ladder_name(lam), est.to_json())
 

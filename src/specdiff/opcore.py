@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -51,11 +51,25 @@ def _checked_int(value, name, error=ModelError) -> int:
     raise error(f"{name} must be an integer, got {value!r}")
 
 
+def _checked_float(value, name, error=ModelError) -> float:
+    """value as a float; error naming the field unless it is a real number (not a bool)."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise error(f"{name} must be a number, got {value!r}")
+
+
+def _checked_keys(doc, known, what, error=ModelError):
+    """Raise error naming the first key of the JSON object doc that is not in known."""
+    for key in doc:
+        if key not in known:
+            raise error(f"unknown {what} key {key!r}")
+
+
 def _canonical_potential(potential):
     items = []
     for site, value in potential:
         site = _checked_int(site, "potential site")
-        value = float(value)
+        value = _checked_float(value, "potential value")
         if value != 0.0:
             items.append((site, value))
     items.sort()
@@ -91,6 +105,8 @@ class ModelSpec:
         if self.n_half < 1:
             raise ModelError("n_half must be >= 1")
         object.__setattr__(self, "potential", _canonical_potential(self.potential))
+        if self.decay_rate is not None:
+            object.__setattr__(self, "decay_rate", _checked_float(self.decay_rate, "decay_rate"))
         if self.kind == "random_traceclass":
             if self.decay_rate is None or self.decay_rate <= 0:
                 raise ModelError("random_traceclass requires decay_rate > 0")
@@ -119,11 +135,11 @@ class ModelSpec:
     @classmethod
     def from_json(cls, text):
         doc = json.loads(text)
+        _checked_keys(doc, {f.name for f in fields(cls)}, "model")
         for key in ("kind", "n_half"):
             if key not in doc:
                 raise ModelError(f"model config lacks {key!r}")
-        return cls(**{key: doc[key] for key in ("kind", "n_half", "potential", "decay_rate",
-                                                "seed") if key in doc})
+        return cls(**doc)
 
 
 @dataclass(frozen=True)

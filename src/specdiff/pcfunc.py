@@ -23,8 +23,8 @@ import numpy as np
 
 from . import tolerances as tol
 from .alpha import nearest_distances, transient_filter
-from .opcore import (ModelSpec, OperatorPair, apply_function, build_model, eig, in_band,
-                     ladder_rung, snap_to_points)
+from .opcore import (ModelSpec, OperatorPair, _checked_keys, apply_function, build_model, eig,
+                     in_band, ladder_rung, snap_to_points)
 
 _BACKGROUNDS = ("zero", "gaussian_bump", "arctan_step_smoothed")
 
@@ -128,9 +128,13 @@ class PiecewiseFn:
     @classmethod
     def from_json(cls, text):
         doc = json.loads(text)
+        _checked_keys(doc, ("jumps", "background"), "symbol", SymbolError)
+        for j in doc.get("jumps", ()):
+            _checked_keys(j, ("lambda", "left", "right"), "jump", SymbolError)
         jumps = tuple((j["lambda"], complex(*j["left"]), complex(*j["right"]))
                       for j in doc.get("jumps", ()))
         bg = doc.get("background", {"name": "zero", "params": []})
+        _checked_keys(bg, ("name", "params"), "background", SymbolError)
         return cls(jumps=jumps, background=bg["name"],
                    background_params=tuple(bg.get("params", ())))
 

@@ -121,7 +121,6 @@ def t0_of_z(pair: OperatorPair, z, mode="truncated") -> np.ndarray:
     mode makes one banded solve per z.
     """
     z = np.asarray(z, dtype=complex)
-    k = pair.k_dim
     if mode == "infinite_lattice":
         if pair.spec.kind != "lattice1d":
             raise ResolventError("infinite_lattice mode requires a lattice1d pair")
@@ -130,8 +129,6 @@ def t0_of_z(pair: OperatorPair, z, mode="truncated") -> np.ndarray:
         i = first_true((z.imag == 0) & near_band_edge(z.real))
         if i is not None:
             raise ResolventError(f"z = {complex(z.flat[i])} too close to the band edge")
-        if k == 0:
-            return np.zeros(z.shape + (0, 0), dtype=complex)
         sites, g = pair.support()
         w = lattice_w(z)[..., None, None]
         dist = np.abs(sites[:, None] - sites[None, :])
@@ -141,13 +138,11 @@ def t0_of_z(pair: OperatorPair, z, mode="truncated") -> np.ndarray:
         raise ResolventError(f"unknown mode {mode!r}")
     if np.any(z.imag == 0):
         raise ResolventError("truncated mode requires Im z != 0")
-    if k == 0:
-        return np.zeros(z.shape + (0, 0), dtype=complex)
     # H0 is tridiagonal for every kind: one banded solve per z
     ab = np.zeros((3, pair.spec.dim), dtype=complex)
     ab[0, 1:] = ab[2, :-1] = pair.h0[1, :-1]
     rhs = pair.g.T.astype(complex)
-    t0 = np.empty(z.shape + (k, k), dtype=complex)
+    t0 = np.empty(z.shape + (pair.k_dim, pair.k_dim), dtype=complex)
     for idx, zz in np.ndenumerate(z):
         ab[1] = pair.h0[0] - zz
         t0[idx] = pair.g @ solve_banded((1, 1), ab, rhs)
@@ -160,7 +155,7 @@ def t_of_z(pair: OperatorPair, t0z: np.ndarray) -> np.ndarray:
     t0z is one k x k matrix or a stack of them; each matrix is checked.
     """
     k = t0z.shape[-1]
-    if k == 0:
+    if k == 0:                   # np.linalg.cond raises on a 0 x 0 matrix
         return np.zeros(t0z.shape, dtype=complex)
     j = pair.j
     m = np.eye(k) + t0z @ j
@@ -191,7 +186,8 @@ def _imag_part(m):
 def _assemble(pair, lam, t0, err, route):
     t = t_of_z(pair, t0)
     for name, m in (("B0", t0), ("B", t)):
-        i = first_true(np.linalg.eigvalsh(_imag_part(m)).min(axis=-1) < -tol.PSD_FLOOR)
+        w_min = np.linalg.eigvalsh(_imag_part(m)).min(axis=-1, initial=np.inf)
+        i = first_true(w_min < -tol.PSD_FLOOR)
         if i is not None:
             raise ResolventError(f"{name} not positive semidefinite at lambda={lam.flat[i]}")
     return BoundaryValue(lam=unbatch(lam), t0=t0, t=t, err_estimate=unbatch(err), route=route)
@@ -230,10 +226,6 @@ def boundary_value(pair: OperatorPair, lam, route="auto") -> BoundaryValue:
     lam = np.asarray(lam, dtype=float)
     if route == "auto":
         route = "closed_form" if pair.spec.kind == "lattice1d" else "extrapolated"
-    if pair.k_dim == 0:
-        z = np.zeros(lam.shape + (0, 0), dtype=complex)
-        return BoundaryValue(lam=unbatch(lam), t0=z, t=z,
-                             err_estimate=unbatch(np.zeros(lam.shape)), route=route)
     if route == "closed_form":
         if pair.spec.kind != "lattice1d":
             raise ResolventError("closed_form route requires lattice1d")

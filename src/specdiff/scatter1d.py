@@ -104,9 +104,6 @@ def smatrix_stationary(pair: OperatorPair, bv: BoundaryValue) -> np.ndarray:
         raise ScatteringError("stationary route requires closed-form boundary values")
     if pair.spec.kind != "lattice1d":
         raise ScatteringError("stationary route requires a lattice1d pair")
-    batch = np.shape(bv.lam)
-    if pair.k_dim == 0:
-        return np.tile(np.eye(2, dtype=complex), batch + (1, 1))
     kappa = np.arccos(np.asarray(bv.lam) / 2.0)[..., None, None]
     sites, g = pair.support()
     norm = 1.0 / np.sqrt(4.0 * np.pi * np.sin(kappa))

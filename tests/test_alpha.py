@@ -6,8 +6,7 @@ import scipy.linalg
 
 from specdiff.alpha import (AlphaError, AlphaEstimate, _b4_residual_norm, alpha_derivative,
                             alpha_proj_limit, alpha_smatrix, d_spectrum_ladder,
-                            d_spectrum_ladders, fredholm_check, stilde_matrix,
-                            transient_filter)
+                            fredholm_check, stilde_matrix, transient_filter)
 from specdiff.opcore import ModelSpec, build_model, count_below, eig, ladder_rung, select_spectrum
 from specdiff.resolvent import boundary_value
 
@@ -179,8 +178,9 @@ def test_ladder_cloud_statistics():
 def test_ladders_match_one_lambda_ladders_bitwise(spec):
     lams = (-1.0, 0.0, 0.7)
     n_list = (20, 40, 80)
-    many = d_spectrum_ladders(spec, lams, n_list)
-    assert len(many) == len(lams)
+    # one lambda gives one estimate, a 1-D array of lambda a tuple of them
+    many = d_spectrum_ladder(spec, np.array(lams), n_list)
+    assert type(many) is tuple and len(many) == len(lams)
     for lam, est in zip(lams, many):
         one = d_spectrum_ladder(spec, lam, n_list)
         assert est.lam == one.lam and est.n_list == one.n_list
@@ -189,9 +189,9 @@ def test_ladders_match_one_lambda_ladders_bitwise(spec):
         assert np.array_equal(est.filtered_cloud, one.filtered_cloud)
         assert est.b4_residuals == one.b4_residuals
         assert est.to_json() == one.to_json()
-    assert d_spectrum_ladders(spec, (), n_list) == ()
+    assert d_spectrum_ladder(spec, np.array([]), n_list) == ()
     with pytest.raises(AlphaError):
-        d_spectrum_ladders(spec, lams, (40, 20, 80))
+        d_spectrum_ladder(spec, np.array(lams), (40, 20, 80))
 
 
 def test_ladders_solve_each_rung_once(monkeypatch):
@@ -207,7 +207,7 @@ def test_ladders_solve_each_rung_once(monkeypatch):
     n_list = (20, 40, 80)
     for lams in ((0.3,), (-1.0, 0.0, 0.7, -3.0)):
         calls.clear()
-        d_spectrum_ladders(spec, lams, n_list)
+        d_spectrum_ladder(spec, np.array(lams), n_list)
         assert len(calls) == len(n_list)           # one solve of H; H0 in closed form
 
 

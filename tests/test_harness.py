@@ -14,6 +14,7 @@ from specdiff import harness, opcore
 from specdiff import tolerances as tol
 from specdiff.cli import main
 from specdiff.harness import ConfigError, ExperimentConfig, run, validate
+from specdiff.pcfunc import SymbolError
 
 MODEL = {"kind": "lattice1d", "n_half": 50, "potential": [[0, 0.5]],
          "decay_rate": None, "seed": 0}
@@ -116,6 +117,16 @@ def test_zero_potential_sweep_all_zero(tmp_path):
     assert record.status == "complete"
     rows = (tmp_path / "out" / "alpha_sweep.csv").read_text().strip().splitlines()[1:]
     assert all(float(r.split(",")[2]) == 0.0 for r in rows)
+    # V = 0 takes the general path, so the band rule holds on its empty support too:
+    # the errors fall on exactly the lambda that validate warns on
+    doc = _config(tmp_path, model={"kind": "lattice1d", "n_half": 5},
+                  lambda_grid=[0.0, 1.95, 2.5], output_dir=str(tmp_path / "band"))
+    cfg = ExperimentConfig.from_json(json.dumps(doc))
+    warned = [lam for lam in cfg.lambda_grid if any(f"lambda={lam} " in d for d in validate(cfg))]
+    record = run(cfg)
+    assert [e["lambda"] for e in record.errors] == warned == [1.95, 2.5]
+    assert all(e["type"] == "ResolventError" for e in record.errors)
+    assert record.results["rows"] == 2          # both alpha routes at 0.0
 
 
 def test_refuse_then_overwrite(tmp_path):
@@ -201,7 +212,9 @@ def test_integer_fields_are_checked_not_truncated(tmp_path):
     # an integral float is its integer
     model_cases = [({"n_half": 10.5}, "n_half"), ({"seed": 1.5}, "seed"),
                    ({"potential": [[0.5, 1.0]]}, "potential site"),
-                   ({"n_half": "10"}, "n_half"), ({"n_half": True}, "n_half")]
+                   ({"n_half": "10"}, "n_half"), ({"n_half": True}, "n_half"),
+                   ({"potential": [[0, "v"]]}, "potential value"),
+                   ({"kind": "random_traceclass", "decay_rate": "fast"}, "decay_rate")]
     for change, field in model_cases:
         doc = dict(MODEL, **change)
         with pytest.raises(opcore.ModelError, match=field):
@@ -212,7 +225,9 @@ def test_integer_fields_are_checked_not_truncated(tmp_path):
             opcore.ModelSpec(**doc)
     config_cases = [({"n_list": [250.7, 500, 1000]}, "n_list"), ({"n_list": ["x"]}, "n_list"),
                     ({"hankel_n": 12.9}, "hankel_n"), ({"hankel_n": "abc"}, "hankel_n"),
-                    ({"lambda_grid": {"min": -1.0, "max": 1.0, "count": 2.5}}, "count")]
+                    ({"lambda_grid": {"min": -1.0, "max": 1.0, "count": 2.5}}, "count"),
+                    ({"hankel_t": "abc"}, "hankel_t"), ({"lambda_grid": ["x"]}, "lambda_grid"),
+                    ({"lambda_grid": {"min": "a", "max": 1.0, "count": 3}}, "lambda_grid min")]
     for change, field in config_cases:
         with pytest.raises(ConfigError, match=field):
             ExperimentConfig.from_json(json.dumps(_config(tmp_path, **change)))
@@ -322,6 +337,26 @@ def test_unknown_config_key_rejected(tmp_path, key, value):
         ExperimentConfig.from_json(json.dumps(doc))
     res = CliRunner().invoke(main, ["validate", "--config", _write(tmp_path, doc)])
     assert res.exit_code == 1 and f"config error: unknown config key '{key}'" in res.output
+
+
+@pytest.mark.parametrize("field,value,error,message", [
+    ("model", dict(MODEL, potentail=[[0, 0.5]]), opcore.ModelError, "unknown model key 'potentail'"),
+    ("phi", {"jumps": [], "backround": {"name": "gaussian_bump", "params": [1.0, 0.0, 0.5]}},
+     SymbolError, "unknown symbol key 'backround'"),
+    ("phi", {"background": {"name": "zero", "parms": []}}, SymbolError,
+     "unknown background key 'parms'"),
+    ("phi", {"jumps": [{"lambda": 0.5, "left": [0, 0], "right": [1, 0], "rigth": [2, 0]}]},
+     SymbolError, "unknown jump key 'rigth'"),
+    ("lambda_grid", {"min": -1.0, "max": 1.0, "count": 3, "step": 0.5}, ConfigError,
+     "unknown lambda_grid key 'step'"),
+])
+def test_unknown_nested_config_key_rejected(tmp_path, field, value, error, message):
+    # a misspelled key inside the model, the symbol or the grid is named, not ignored
+    doc = _config(tmp_path, **{field: value})
+    with pytest.raises(error, match=message):
+        ExperimentConfig.from_json(json.dumps(doc))
+    res = CliRunner().invoke(main, ["validate", "--config", _write(tmp_path, doc)])
+    assert res.exit_code == 1 and f"config error: {message}" in res.output
 
 
 @pytest.mark.parametrize("field,value,key", [

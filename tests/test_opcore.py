@@ -10,7 +10,7 @@ import pytest
 
 from specdiff import opcore
 from specdiff import tolerances as tol
-from specdiff.alpha import AlphaError, alpha_proj_limit, d_spectrum_ladders
+from specdiff.alpha import AlphaError, alpha_proj_limit, d_spectrum_ladder
 from specdiff.hankelmodel import build_l_operators
 from specdiff.harness import ExperimentConfig, run, validate
 from specdiff.opcore import (ModelError, ModelSpec, OperatorPair, Rung, _floor_singvals,
@@ -75,7 +75,7 @@ def test_tridiagonal_pair_stores_no_square_array(monkeypatch):
     assert eig(pair, "free", -0.5, 0.5).eigenvalues.size > 0
     assert t0_of_z(pair, 0.3 + 0.5j, "truncated").shape == (2, 2)
     assert build_l_operators(pair, 0.2, 16, 20.0)["L0"].shape == (61, 32)
-    assert len(d_spectrum_ladders(spec, (-0.5, 0.3), (20, 30, 40))) == 2
+    assert len(d_spectrum_ladder(spec, np.array([-0.5, 0.3]), (20, 30, 40))) == 2
     assert symbol_difference(pair, PiecewiseFn(jumps=((0.3, 0.0, 1.0),))).shape == (61, 61)
 
 
@@ -400,7 +400,8 @@ def _counting_solver(monkeypatch):
 def test_one_site_ladder_solves_each_rung_once_for_eigenvalues_only(monkeypatch):
     calls = _counting_solver(monkeypatch)
     n_list = (20, 40, 80)
-    d_spectrum_ladders(ModelSpec("lattice1d", 10, ((0, 1.0),)), (-1.0, 0.0, 0.3), n_list)
+    d_spectrum_ladder(ModelSpec("lattice1d", 10, ((0, 1.0),)), np.array([-1.0, 0.0, 0.3]),
+                      n_list)
     assert calls == [True] * len(n_list)
 
 
@@ -413,14 +414,14 @@ def test_one_site_ladder_solves_each_rung_once_for_eigenvalues_only(monkeypatch)
 def test_other_pairs_keep_the_whole_decompositions(spec, monkeypatch):
     lams, n_list = (-1.0, 0.0, 0.3), (20, 40, 80)
     assert not one_site_at_origin(build_model(spec))
-    ests = d_spectrum_ladders(spec, lams, n_list)
+    ests = d_spectrum_ladder(spec, np.array(lams), n_list)
     for i, n in enumerate(n_list):
         pair = build_model(replace(spec, n_half=n))
         for lam, est in zip(lams, ests):
             ref = _dense_difference_spectrum(pair, lam, "neither")
             assert np.max(np.abs(est.eigenvalue_clouds[i] - ref)) <= 1e-12
     calls = _counting_solver(monkeypatch)
-    d_spectrum_ladders(spec, lams, n_list)
+    d_spectrum_ladder(spec, np.array(lams), n_list)
     assert calls == ([False] * len(n_list) if spec.kind != "random_traceclass" else [])
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from specdiff.alpha import alpha_derivative, alpha_smatrix, fredholm_check
 from specdiff.opcore import ModelSpec, build_model
 from specdiff.resolvent import (ExtrapolationError, ResolventError, ResonanceError,
                                 _richardson, boundary_value, lattice_w,
@@ -14,11 +15,18 @@ def _pair(v=0.5, n=50, sites=((0,),)):
 
 
 def test_empty_potential_gives_empty_matrices():
-    pair = build_model(ModelSpec("lattice1d", 5))
-    assert t0_of_z(pair, 1j).shape == (0, 0)
-    bv = boundary_value(pair, 0.0)
-    assert bv.t0.shape == (0, 0)
-    assert bv.err_estimate == 0.0
+    # V = 0 takes the general path on its empty support, by either route: T0 is 0 x 0,
+    # alpha is 0 and sigma_min of an empty matrix is 1
+    for spec, route in ((ModelSpec("lattice1d", 5), "closed_form"),
+                        (ModelSpec("jacobi", 5), "extrapolated")):
+        pair = build_model(spec)
+        assert t0_of_z(pair, 1j).shape == (0, 0)
+        bv = boundary_value(pair, 0.0)
+        assert bv.route == route and bv.t0.shape == (0, 0)
+        assert bv.err_estimate == 0.0
+        assert alpha_derivative(bv, pair.j).value == alpha_smatrix(bv, pair.j).value == 0.0
+        chk = fredholm_check(bv, pair.j)
+        assert chk["sigma_min_0"] == chk["sigma_min_1"] == 1 and chk["fredholm"] is True
 
 
 def test_lattice_w_branch():
