@@ -13,6 +13,10 @@ import importlib
 
 __version__ = "0.1.0"
 
+# the environment variables that cap the BLAS and OpenMP thread pools (specdiff --threads sets
+# them, and the run manifest records them)
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+
 _EXPORTS = {
     "alpha": ("AlphaEstimate", "EssSpectrumEstimate", "alpha_derivative",
               "alpha_proj_limit", "alpha_smatrix", "d_spectrum_ladder", "fredholm_check"),

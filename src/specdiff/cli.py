@@ -12,10 +12,11 @@ import sys
 
 import click
 
+from . import THREAD_VARS
+
 
 def _set_threads(n):
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
+    for var in THREAD_VARS:
         os.environ[var] = str(n)
 
 

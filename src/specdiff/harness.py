@@ -4,8 +4,10 @@ Each run consumes an ExperimentConfig (JSON), dispatches to the computational
 modules, writes CSV/JSON artifacts into the output directory, and finishes
 with a manifest recording the config hash, a content digest for every file,
 the tolerance table in force (tolerances.table(), read when the manifest is
-written) and any per-point failures.  A config has no tolerance overrides:
-an unknown key is a ConfigError.
+written), the environment (versions, BLAS builds and thread caps) and any
+per-point failures.  Only the manifest carries the environment, so every
+other artifact is the same bytes wherever it runs.  A config has no tolerance
+overrides: an unknown key is a ConfigError.
 """
 
 from __future__ import annotations
@@ -13,12 +15,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import platform
 import time
 from dataclasses import dataclass, field, fields
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
+from . import THREAD_VARS, __version__
 from . import tolerances as tol
 from .alpha import alpha_derivative, alpha_smatrix, d_spectrum_ladder, fredholm_check
 from .opcore import ModelSpec, _checked_float, _checked_int, _checked_keys, build_model, in_band
@@ -140,6 +144,21 @@ def validate(config: ExperimentConfig):
     return diags
 
 
+@cache
+def _environment():
+    # versions, both BLAS builds (NumPy and SciPy bundle one each) and the thread caps in force
+    # (None where unset), read once per process, for the manifest
+    import scipy
+
+    env = {"python": platform.python_version(), "specdiff": __version__,
+           "thread_caps": {var: os.environ.get(var) for var in THREAD_VARS}}
+    for lib in (np, scipy):
+        dep = lib.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        env[lib.__name__] = lib.__version__
+        env[f"{lib.__name__}_blas"] = f"{dep['name']} {dep['version']}"
+    return env
+
+
 @dataclass
 class RunRecord:
     config_hash: str
@@ -159,6 +178,7 @@ class RunRecord:
             "finished": self.finished,
             "files": self.files,
             "errors": self.errors,
+            "environment": _environment(),
             "tolerances": tol.table(),
             "tolerance_version": tol.__version__,
         }, indent=2, sort_keys=True)

@@ -23,7 +23,10 @@ of a one-site V at lattice1d site 0 (even_sector: eigenvalues only, and W as
 a Cauchy matrix), or H0's closed form and one solve of H, with W and G Phi as
 sine transforms.  The two whole decompositions, eig(pair, 'free') and
 eig(pair, 'full'), stay the oracle.  Its thresholds are read from
-specdiff.tolerances.
+specdiff.tolerances.  Every dense product and factorization goes through
+NumPy's BLAS; SciPy, which bundles a second OpenBLAS with its own thread
+pool, serves only the tridiagonal solves (eigh_tridiagonal, driver stevd),
+the sine transform (fft.dst) and ARPACK (svds).
 """
 
 from __future__ import annotations
@@ -323,6 +326,9 @@ def eig(pair: OperatorPair, which: str, lo=-np.inf, hi=np.inf) -> SpectralDecomp
     H's when V = 0.  Every solve of H is whole: tridiagonal models by
     eigh_tridiagonal on the bands of H0 plus the diagonal of V, so no dense
     matrix is formed, dense models by eigendecompose of pair.dense('full').
+    The tridiagonal driver is pinned to divide and conquer (stevd), whose
+    eigenvectors are orthonormal to about 1e-14; MRRR (stemr, the 'auto' of
+    older SciPy) left a defect of 2.1e-12 at n = 4001, above tol.CLOUD_FLOOR.
     The open window is then cut by select_spectrum at the whole spectrum's
     scale; the whole spectrum (the default) is returned unselected.
     """
@@ -333,7 +339,8 @@ def eig(pair: OperatorPair, which: str, lo=-np.inf, hi=np.inf) -> SpectralDecomp
     if which == "free" or not pair.v.any():
         dec = hopping_eigenpairs(pair.h0.shape[1])
     elif pair.v.ndim == 1:              # the diagonal V of lattice1d and jacobi
-        w, vecs = linalg.eigh_tridiagonal(pair.h0[0] + pair.v, pair.h0[1, :-1])
+        w, vecs = linalg.eigh_tridiagonal(pair.h0[0] + pair.v, pair.h0[1, :-1],
+                                          lapack_driver="stevd")
         dec = SpectralDecomposition(eigenvalues=w, eigenvectors=vecs)
     else:
         dec = eigendecompose(pair.dense(which))
@@ -405,9 +412,10 @@ class Rung:
 
         In the rung basis D = f(H) - f(H0) = M W^T (mixed), numerically of low
         rank.  Q is a range basis of M (_floor_basis, which overwrites M with its
-        residual) and B = (Q^T M) W^T; W is orthogonal, so ||D - Q B||_F = ||M -
-        Q Q^T M||_F.  Where the basis does not pay, on a rung of at most 600 rows
-        (where the dense route is faster) or a full-rank M, Q is None and B is D.
+        residual in place, through NumPy's BLAS alone) and B = (Q^T M) W^T; W is
+        orthogonal, so ||D - Q B||_F = ||M - Q Q^T M||_F.  Where the basis does not
+        pay, on a rung of at most 600 rows (where the dense route is faster) or a
+        full-rank M, Q is None and B is D.
         """
         if self.overlap.shape[0] > 600:
             basis = _floor_basis(self.mixed(f), tol.CLOUD_FLOOR / 2, block=64, overwrite_a=True)
@@ -474,7 +482,8 @@ def even_sector(pair: OperatorPair) -> Rung:
     On the even sector H0 has the closed form of hopping_even_sector, and H =
     Lambda + v z z^T in H0's eigenbasis (z_k = |phi_k(0)|, each phi_k signed so
     that phi_k(0) > 0), whose eigenvalues mu_j come from one eigvals_only solve
-    of the half chain on sites 0..N (sqrt 2 on the first bond, v at site 0).
+    of the half chain on sites 0..N (sqrt 2 on the first bond, v at site 0),
+    by eig's driver.
     Its eigenvectors are the columns of the Cauchy matrix W_kj = zh_k /
     (lambda_k - mu_j), normalised, with the Loewner weights zh_k^2 = prod_j
     (mu_j - lambda_k) / (v prod_{i != k} (lambda_i - lambda_k)), summed in logs,
@@ -494,7 +503,7 @@ def even_sector(pair: OperatorPair) -> Rung:
     diag[0] = v
     off = np.ones(n_half)
     off[0] = np.sqrt(2.0)
-    mu = linalg.eigh_tridiagonal(diag, off, eigvals_only=True)
+    mu = linalg.eigh_tridiagonal(diag, off, eigvals_only=True, lapack_driver="stevd")
     zhat = np.exp(0.5 * (_log_gaps(lam, mu) - _log_gaps(lam, lam) - np.log(abs(v))))
     w = np.empty((lam.size, mu.size), order="F")
     np.subtract.outer(lam, mu, out=w)
@@ -599,12 +608,13 @@ def _floor_basis(a, floor, block=None, overwrite_a=False):
     two fewer passes over a per block, for a matrix whose rank lies far above
     32.  Once the basis would reach half the shorter side the answer is None
     and the caller takes its dense route, so small and full-rank matrices keep
-    its bits.  With overwrite_a (a real, Fortran-ordered a) the residual is
-    formed in a itself by BLAS (dgemm with beta = 1), so no second matrix of
-    a's size is allocated; a then holds the residual.
+    its bits.  With overwrite_a (a float a, best Fortran-ordered, so that each
+    block is contiguous) the residual is updated in a itself, 256 columns at a
+    time, so no second matrix of a's size is allocated; a then holds the
+    residual.  The update goes through NumPy's BLAS, like every other product
+    here: SciPy's is a second OpenBLAS with its own thread pool, and the two
+    pools would contend for the cores.
     """
-    from scipy.linalg import blas       # looked up at call time
-
     rng = np.random.default_rng(0)
     q, rows, resid, width = np.empty((a.shape[0], 0)), [], a, 32
     while 2 * width < min(a.shape):
@@ -613,8 +623,9 @@ def _floor_basis(a, floor, block=None, overwrite_a=False):
             y = resid @ np.linalg.qr(resid.T @ y)[0]
         y = np.linalg.qr(y - q @ (q.T @ y))[0]
         rows.append(y.T @ resid)
-        if overwrite_a:                 # resid -= y rows[-1] by one BLAS call, into resid itself
-            resid = blas.dgemm(-1.0, y, rows[-1], 1.0, resid, overwrite_c=True)
+        if overwrite_a:                 # resid -= y rows[-1] in place, in bounded column blocks
+            for start in range(0, resid.shape[1], 256):
+                resid[:, start:start + 256] -= y @ rows[-1][:, start:start + 256]
         else:
             resid = resid - y @ rows[-1]
         q = np.hstack([q, y])

@@ -18,13 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import json
+import numbers
 
 import numpy as np
 
 from . import tolerances as tol
 from .alpha import nearest_distances, transient_filter
-from .opcore import (ModelSpec, OperatorPair, _checked_keys, apply_function, build_model, eig,
-                     in_band, ladder_rung, snap_to_points)
+from .opcore import (ModelSpec, OperatorPair, _checked_float, _checked_keys, apply_function,
+                     build_model, eig, in_band, ladder_rung, snap_to_points)
 
 _BACKGROUNDS = ("zero", "gaussian_bump", "arctan_step_smoothed")
 
@@ -36,6 +37,9 @@ class SymbolError(ValueError):
 def _background_fn(name, params):
     if name == "zero":
         return lambda x: np.zeros_like(np.asarray(x, dtype=float))
+    if len(params) != 3:
+        raise SymbolError(f"background {name!r} takes 3 parameters (amplitude, center, width), "
+                          f"got {len(params)}")
     if name == "gaussian_bump":
         amp, center, width = params
         return lambda x: amp * np.exp(-((np.asarray(x, dtype=float) - center) / width) ** 2)
@@ -43,6 +47,20 @@ def _background_fn(name, params):
         amp, center, width = params
         return lambda x: amp * (0.5 + np.arctan((np.asarray(x, dtype=float) - center) / width) / np.pi)
     raise SymbolError(f"unknown background preset {name!r}")
+
+
+def _checked_limit(value, name):
+    # a jump limit as a complex number; SymbolError naming the field unless it is a number
+    if isinstance(value, numbers.Complex) and not isinstance(value, bool):
+        return complex(value)
+    raise SymbolError(f"{name} must be a number, got {value!r}")
+
+
+def _limit_from_json(value, name):
+    # the [real, imag] pair that to_json writes for a jump limit, as a complex number
+    if not isinstance(value, list) or not 1 <= len(value) <= 2:
+        raise SymbolError(f"{name} must be a [real, imag] pair, got {value!r}")
+    return complex(*(_checked_float(x, name, SymbolError) for x in value))
 
 
 @dataclass(frozen=True)
@@ -66,13 +84,16 @@ class PiecewiseFn:
     def __post_init__(self):
         if self.background not in _BACKGROUNDS:
             raise SymbolError(f"unknown background preset {self.background!r}")
-        jumps = tuple((float(lam), complex(lo), complex(hi)) for lam, lo, hi in self.jumps)
+        jumps = tuple((_checked_float(lam, "jump location", SymbolError),
+                       _checked_limit(lo, "jump left limit"),
+                       _checked_limit(hi, "jump right limit")) for lam, lo, hi in self.jumps)
         locs = [lam for lam, _, _ in jumps]
         if locs != sorted(locs) or len(set(locs)) != len(locs):
             raise SymbolError("jump locations must be strictly increasing")
         object.__setattr__(self, "jumps", jumps)
         object.__setattr__(self, "background_params",
-                           tuple(float(p) for p in self.background_params))
+                           tuple(_checked_float(p, "background parameter", SymbolError)
+                                 for p in self.background_params))
         # evaluating the presets requires their parameters up front
         _background_fn(self.background, self.background_params)
 
@@ -131,7 +152,8 @@ class PiecewiseFn:
         _checked_keys(doc, ("jumps", "background"), "symbol", SymbolError)
         for j in doc.get("jumps", ()):
             _checked_keys(j, ("lambda", "left", "right"), "jump", SymbolError)
-        jumps = tuple((j["lambda"], complex(*j["left"]), complex(*j["right"]))
+        jumps = tuple((j["lambda"], _limit_from_json(j["left"], "jump left limit"),
+                       _limit_from_json(j["right"], "jump right limit"))
                       for j in doc.get("jumps", ()))
         bg = doc.get("background", {"name": "zero", "params": []})
         _checked_keys(bg, ("name", "params"), "background", SymbolError)

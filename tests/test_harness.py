@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -242,6 +243,59 @@ def test_integer_fields_are_checked_not_truncated(tmp_path):
     # the defaults are the dataclass's own
     cfg = ExperimentConfig.from_json(json.dumps({"kind": "alpha_sweep", "model": MODEL}))
     assert (cfg.output_dir, cfg.hankel_n, cfg.hankel_t) == ("out", 200, 50.0)
+
+
+@pytest.mark.parametrize("phi,message", [
+    ({"jumps": [{"lambda": "abc", "left": [0, 0], "right": [1, 0]}]},
+     "jump location must be a number"),
+    ({"background": {"name": "gaussian_bump", "params": [1.0, "abc", 0.5]}},
+     "background parameter must be a number"),
+    ({"jumps": [{"lambda": 0.5, "left": ["abc", 0], "right": [1, 0]}]},
+     "jump left limit must be a number"),
+    ({"jumps": [{"lambda": 0.5, "left": [0, 0], "right": [1, "i"]}]},
+     "jump right limit must be a number"),
+    ({"jumps": [{"lambda": 0.5, "left": [0, 0, 0], "right": [1, 0]}]},
+     "jump left limit must be a \\[real, imag\\] pair"),
+    ({"background": {"name": "gaussian_bump", "params": [1.0, 0.5]}},
+     "background 'gaussian_bump' takes 3 parameters"),
+])
+def test_non_numeric_symbol_fields_are_named(tmp_path, phi, message):
+    # a symbol field that is not a number names itself, not "could not convert string to float"
+    doc = _config(tmp_path, kind="phi_check", lambda_grid=[], phi=phi)
+    with pytest.raises(SymbolError, match=message):
+        ExperimentConfig.from_json(json.dumps(doc))
+    res = CliRunner().invoke(main, ["validate", "--config", _write(tmp_path, doc)])
+    assert res.exit_code == 1 and re.search(f"config error: {message}", res.output)
+
+
+def test_manifest_records_the_environment_in_force(tmp_path):
+    # versions, both BLAS builds and the thread caps that --threads set, in the manifest only
+    cfg_path = _write(tmp_path, _config(tmp_path))
+    script = "\n".join((
+        "import sys",
+        "import specdiff.cli",
+        "try:",
+        "    specdiff.cli.main(['--threads', '1', 'alpha', '--config', sys.argv[1]])",
+        "except SystemExit as exc:",
+        "    assert exc.code == 0, exc.code",
+    ))
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(specdiff.__file__)))
+    out = subprocess.run([sys.executable, "-c", script, cfg_path], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    environment = manifest["environment"]
+    assert sorted(environment) == ["numpy", "numpy_blas", "python", "scipy", "scipy_blas",
+                                   "specdiff", "thread_caps"]
+    assert environment["numpy"] == np.__version__
+    assert environment["specdiff"] == specdiff.__version__
+    assert environment["thread_caps"] == {var: "1" for var in specdiff.THREAD_VARS}
+    assert all(environment[key] for key in ("numpy_blas", "scipy_blas"))
+    # the environment is the manifest's alone: the artifact is the in-process run's bytes
+    first = (tmp_path / "out" / "alpha_sweep.csv").read_bytes()
+    run(ExperimentConfig.from_json(json.dumps(_config(tmp_path))), overwrite=True)
+    assert (tmp_path / "out" / "alpha_sweep.csv").read_bytes() == first
 
 
 def test_cli_out_override_and_overwrite(tmp_path):

@@ -1,6 +1,7 @@
 """Model construction, factorization, spectral calculus."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import scipy.linalg
@@ -333,6 +334,23 @@ def test_rung_difference_matches_the_dense_symbol_difference(spec, symbols, monk
         assert len(widths) == 1 and widths[0] is not None and 2 * widths[0] < spec.dim
 
 
+def test_symbol_kernel_updates_its_residual_in_place():
+    # the range finder overwrites M with its residual a block of columns at a time: no second
+    # matrix of M's size is allocated
+    spec, (phi,) = LOW_RANK_CASE
+    m = ladder_rung(build_model(spec)).mixed(phi.on_spectrum)
+    nbytes = m.nbytes
+    tracemalloc.start()
+    try:
+        basis = opcore._floor_basis(m, tol.CLOUD_FLOOR / 2, block=64, overwrite_a=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.shape == (2001, 2001) and basis is not None
+    assert peak < nbytes / 2
+    assert np.linalg.norm(m) <= tol.CLOUD_FLOOR / 2      # m holds the certified residual
+
+
 def test_cloud_chooses_its_kernel_from_the_symbol_values(monkeypatch):
     # the values on both spectra, not the symbol's form, choose the kernel: a step with a
     # zero-amplitude bump takes the principal angles and gives the plain step's bits, a window
@@ -384,6 +402,14 @@ def test_even_sector_overlap_is_orthogonal():
     for v in (-2.0, 0.5, 1.0):
         w = even_sector(build_model(ModelSpec("lattice1d", 1000, ((0, v),)))).overlap
         assert np.linalg.norm(w.T @ w - np.eye(1001), 2) <= 1e-11, v
+
+
+def test_whole_route_overlap_is_orthogonal():
+    # the pinned divide-and-conquer driver (stevd) keeps Psi, so W, orthonormal far below
+    # tol.CLOUD_FLOOR; MRRR (stemr) left 4.2e-13 at this size
+    w = ladder_rung(build_model(ModelSpec("lattice1d", 1000, ((0, -0.81), (1, 0.45))))).overlap
+    assert w.shape == (2001, 2001)
+    assert np.max(np.abs(w.T @ w - np.eye(2001))) <= 1e-13
 
 
 def _counting_solver(monkeypatch):

@@ -27,6 +27,17 @@ def test_symbol_validation_and_round_trip():
         PiecewiseFn(jumps=((0.5, 0, 1), (-0.5, 0, 1)))
     with pytest.raises(SymbolError):
         PiecewiseFn(background="spline")
+    # a field that is not a number names itself (through JSON: tests/test_harness.py)
+    for kwargs, field in [(dict(jumps=(("abc", 0.0, 1.0),)), "jump location"),
+                          (dict(jumps=((0.5, "0", 1.0),)), "jump left limit"),
+                          (dict(jumps=((0.5, 0.0, True),)), "jump right limit"),
+                          (dict(background="arctan_step_smoothed",
+                                background_params=(1.0, "c", 0.2)), "background parameter")]:
+        with pytest.raises(SymbolError, match=f"{field} must be a number"):
+            PiecewiseFn(**kwargs)
+    phi = PiecewiseFn(jumps=((np.float64(0.5), 0, np.complex128(1j)),),
+                      background="gaussian_bump", background_params=(1, 0, np.float32(0.5)))
+    assert phi.jumps == ((0.5, 0j, 1j),) and phi.background_params == (1.0, 0.0, 0.5)
     phi = PiecewiseFn(jumps=((-0.5, 0.0, 1.0 + 1.0j),),
                       background="gaussian_bump", background_params=(1.0, 0.0, 2.0))
     assert PiecewiseFn.from_json(phi.to_json()) == phi

@@ -75,7 +75,18 @@ def _references():
         refs = attrs | {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         refs |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                  for alias in node.names}
+        refs |= {node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module}
+        refs |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names}
         yield info.name, attrs, refs
+
+
+def test_no_module_calls_scipys_blas():
+    # dense products go through NumPy's OpenBLAS: SciPy bundles a second one, whose thread pool
+    # would contend with NumPy's for the cores
+    for name, _, refs in _references():
+        assert not {"blas", "scipy.linalg.blas", "get_blas_funcs"} & refs, name
 
 
 def test_only_opcore_chooses_the_rung_route():
