@@ -22,7 +22,8 @@ gives alpha = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import json
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -68,18 +69,8 @@ class EssSpectrumEstimate:
     b4_residuals: tuple               # per-N D^2 identity residuals
 
     def to_json(self):
-        import json
-        return json.dumps({
-            "lambda": self.lam,
-            "n_list": list(self.n_list),
-            "eigenvalue_clouds": [list(map(float, c)) for c in self.eigenvalue_clouds],
-            "filtered_cloud": list(map(float, self.filtered_cloud)),
-            "alpha_empirical": self.alpha_empirical,
-            "fill_distance": self.fill_distance,
-            "plus_one_count": self.plus_one_count,
-            "minus_one_count": self.minus_one_count,
-            "b4_residuals": list(map(float, self.b4_residuals)),
-        })
+        doc = asdict(self)
+        return json.dumps({"lambda": doc.pop("lam"), **doc}, default=np.ndarray.tolist)
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:

@@ -6,8 +6,10 @@ with a manifest recording the config hash, a content digest for every file,
 the tolerance table in force (tolerances.table(), read when the manifest is
 written), the environment (versions, BLAS builds and thread caps) and any
 per-point failures.  Only the manifest carries the environment, so every
-other artifact is the same bytes wherever it runs.  A config has no tolerance
-overrides: an unknown key is a ConfigError.
+other artifact is the same bytes wherever it runs.  A config's keys are
+ExperimentConfig's fields, those with no default required, so it has no
+tolerance overrides: an unknown key is a ConfigError.  Its canonical_json, the
+bytes of its hash, is asdict with the symbol in its own shape.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import json
 import os
 import platform
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import cache, partial
 
 import numpy as np
@@ -25,7 +27,8 @@ import numpy as np
 from . import THREAD_VARS, __version__
 from . import tolerances as tol
 from .alpha import alpha_derivative, alpha_smatrix, d_spectrum_ladder, fredholm_check
-from .opcore import ModelSpec, _checked_float, _checked_int, _checked_keys, build_model, in_band
+from .opcore import (ModelSpec, _checked_float, _checked_int, _checked_object, build_model,
+                     in_band)
 from .pcfunc import PiecewiseFn, empirical_spectrum, hausdorff, predicted_ess_spectrum
 from .resolvent import boundary_value
 from .scatter1d import smatrix_stationary, smatrix_transfer
@@ -36,13 +39,15 @@ class ConfigError(ValueError):
 
 
 def _expand_grid(grid):
-    if isinstance(grid, dict):
-        _checked_keys(grid, ("min", "max", "count"), "lambda_grid", ConfigError)
-        count = _checked_int(grid["count"], "lambda_grid count", ConfigError)
-        return list(np.linspace(_checked_float(grid["min"], "lambda_grid min", ConfigError),
-                                _checked_float(grid["max"], "lambda_grid max", ConfigError),
-                                count))
-    return [_checked_float(x, "lambda_grid", ConfigError) for x in grid]
+    # a list of points, or a {"min", "max", "count"} range object expanded by linspace
+    if isinstance(grid, (list, tuple)):
+        return [_checked_float(x, "lambda_grid", ConfigError) for x in grid]
+    _checked_object(grid, ("min", "max", "count"), "lambda_grid", ConfigError)
+    count = _checked_int(grid["count"], "lambda_grid count", ConfigError)
+    if count < 0:
+        raise ConfigError(f"lambda_grid count must be >= 0, got {count}")
+    return list(np.linspace(_checked_float(grid["min"], "lambda_grid min", ConfigError),
+                            _checked_float(grid["max"], "lambda_grid max", ConfigError), count))
 
 
 @dataclass(frozen=True)
@@ -64,14 +69,17 @@ class ExperimentConfig:
                            tuple(_checked_int(n, "n_list", ConfigError) for n in self.n_list))
         object.__setattr__(self, "hankel_n", _checked_int(self.hankel_n, "hankel_n", ConfigError))
         object.__setattr__(self, "hankel_t", _checked_float(self.hankel_t, "hankel_t", ConfigError))
+        if not isinstance(self.output_dir, str):
+            raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
 
     @classmethod
     def from_json(cls, text):
-        doc = json.loads(text)
+        """The config of a JSON object whose keys are the fields, those with no default required."""
+        doc = _checked_object(json.loads(text), [f.name for f in fields(cls)], "config", ConfigError)
         try:
-            if "kind" not in doc or "model" not in doc:
-                raise ConfigError("config must carry 'kind' and 'model'")
-            _checked_keys(doc, {f.name for f in fields(cls)}, "config", ConfigError)
+            for f in fields(cls):
+                if f.default is MISSING and f.name not in doc:
+                    raise ConfigError(f"config lacks key {f.name!r}")
             kwargs = dict(doc, model=ModelSpec.from_json(json.dumps(doc["model"])))
             if doc.get("phi") is not None:
                 kwargs["phi"] = PiecewiseFn.from_json(json.dumps(doc["phi"]))
@@ -87,17 +95,8 @@ class ExperimentConfig:
             return cls.from_json(fh.read())
 
     def canonical_json(self):
-        doc = {
-            "kind": self.kind,
-            "model": json.loads(self.model.to_json()),
-            "lambda_grid": list(self.lambda_grid),
-            "n_list": list(self.n_list),
-            "output_dir": self.output_dir,
-            "phi": json.loads(self.phi.to_json()) if self.phi else None,
-            "hankel_n": self.hankel_n,
-            "hankel_t": self.hankel_t,
-        }
-        return json.dumps(doc, sort_keys=True)
+        phi = json.loads(self.phi.to_json()) if self.phi else None     # the symbol's own shape
+        return json.dumps(dict(asdict(self), phi=phi), sort_keys=True)
 
     def config_hash(self):
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()

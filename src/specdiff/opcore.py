@@ -5,35 +5,38 @@ stored as its bands, with the factorization V = G^T J G, and provides the one
 eigensolver of a pair (eig, which takes H0's eigenpairs in closed form from
 hopping_eigenpairs and solves only H), the one closed form of H0's spectrum
 (hopping_eigenvalues), the one band rule (in_band), the two singular-value
-routines (leading_singvals for the top value, _floor_singvals for every value
-above a floor, from the certified range basis of _floor_basis), spectral
-projections and functions of operators phi(H).  An eigenvalue meets a spectral
-point by one rule, which gives open windows (select_spectrum) and strict
-prefixes (count_below); a symbol's left limit at a jump is
-PiecewiseFn.on_spectrum's.  A ladder rung (Rung) holds a pair in H0's
-eigenbasis: both spectra, the overlap W = Phi^T Psi of the eigenvectors and G
-Phi.  Its one cloud method, cloud(f), gives the eigenvalues of f(H) - f(H0)
-for f, a map from an ascending whole spectrum to a symbol's values, and
-chooses its kernel from those values: a step's from two cross blocks of W,
-any other f's from a basis of M = W o (f(mu)^T - f(lambda)) (mixed,
-symbol_factor), each certified to tol.CLOUD_FLOOR.  The rung reads no symbol;
-the convention at a jump is f's.  ladder_rung is the one place that chooses a
-rung's route, by one rule on the pair (one_site_at_origin): the even sector
-of a one-site V at lattice1d site 0 (even_sector: eigenvalues only, and W as
-a Cauchy matrix), or H0's closed form and one solve of H, with W and G Phi as
-sine transforms.  The two whole decompositions, eig(pair, 'free') and
+routines (leading_singvals for the top value, by the dense SVD at every size,
+_floor_singvals for every value above a floor, from the certified range basis
+of _floor_basis), spectral projections and functions of operators phi(H).  An
+eigenvalue meets a spectral point by one rule, which gives open windows
+(select_spectrum) and strict prefixes (count_below); a symbol's left limit at
+a jump is PiecewiseFn.on_spectrum's.  A ladder rung (Rung) holds a pair in
+H0's eigenbasis: both spectra, the overlap W = Phi^T Psi of the eigenvectors
+and G Phi.  Its one cloud method, cloud(f), gives the eigenvalues of
+f(H) - f(H0) for f, a map from an ascending whole spectrum to a symbol's
+values, and chooses its kernel from those values: a step's from two cross
+blocks of W, any other f's from a basis of M = W o (f(mu)^T - f(lambda))
+(mixed, symbol_factor), each certified to tol.CLOUD_FLOOR.  The rung reads no
+symbol; the convention at a jump is f's.  ladder_rung is the one place that
+chooses a rung's route, by one rule on the pair (one_site_at_origin): the even
+sector of a one-site V at lattice1d site 0 (even_sector: eigenvalues only, and
+W as a Cauchy matrix), or H0's closed form and one solve of H, with W and G
+Phi as sine transforms.  The two whole decompositions, eig(pair, 'free') and
 eig(pair, 'full'), stay the oracle.  Its thresholds are read from
 specdiff.tolerances.  Every dense product and factorization goes through
-NumPy's BLAS; SciPy, which bundles a second OpenBLAS with its own thread
-pool, serves only the tridiagonal solves (eigh_tridiagonal, driver stevd),
-the sine transform (fft.dst) and ARPACK (svds).
+NumPy's BLAS; SciPy, which bundles a second OpenBLAS with its own thread pool,
+serves only the tridiagonal solves (eigh_tridiagonal, driver stevd) and the
+sine transform (fft.dst).  A model's JSON object is its dataclass: ModelSpec's
+fields are its keys, those with no default required, and to_json writes
+asdict; _checked_object, the one check of a config object, serves the symbol
+(pcfunc) and the experiment config (harness) too.
 """
 
 from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -61,18 +64,23 @@ def _checked_float(value, name, error=ModelError) -> float:
     raise error(f"{name} must be a number, got {value!r}")
 
 
-def _checked_keys(doc, known, what, error=ModelError):
-    """Raise error naming the first key of the JSON object doc that is not in known."""
+def _checked_object(doc, known, what, error=ModelError) -> dict:
+    """doc if it is a JSON object with keys only from known, else error naming what or the key."""
+    if not isinstance(doc, dict):
+        raise error(f"{what} must be a JSON object, got {type(doc).__name__}")
     for key in doc:
         if key not in known:
             raise error(f"unknown {what} key {key!r}")
+    return doc
 
 
 def _canonical_potential(potential):
     items = []
-    for site, value in potential:
-        site = _checked_int(site, "potential site")
-        value = _checked_float(value, "potential value")
+    for pair in potential:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise ModelError(f"potential entries must be [site, value] pairs, got {pair!r}")
+        site = _checked_int(pair[0], "potential site")
+        value = _checked_float(pair[1], "potential value")
         if value != 0.0:
             items.append((site, value))
     items.sort()
@@ -126,22 +134,15 @@ class ModelSpec:
         return site if self.kind == "jacobi" else site + self.n_half
 
     def to_json(self):
-        doc = {
-            "kind": self.kind,
-            "n_half": self.n_half,
-            "potential": [[s, v] for s, v in self.potential],
-            "decay_rate": self.decay_rate,
-            "seed": self.seed,
-        }
-        return json.dumps(doc)
+        return json.dumps(asdict(self))
 
     @classmethod
     def from_json(cls, text):
-        doc = json.loads(text)
-        _checked_keys(doc, {f.name for f in fields(cls)}, "model")
-        for key in ("kind", "n_half"):
-            if key not in doc:
-                raise ModelError(f"model config lacks {key!r}")
+        """The spec of a JSON object whose keys are the fields, those with no default required."""
+        doc = _checked_object(json.loads(text), [f.name for f in fields(cls)], "model")
+        for f in fields(cls):
+            if f.default is MISSING and f.name not in doc:
+                raise ModelError(f"model config lacks {f.name!r}")
         return cls(**doc)
 
 
@@ -584,17 +585,9 @@ def apply_function(dec: SpectralDecomposition, phi) -> np.ndarray:
 
 
 def leading_singvals(a) -> float:
-    """The largest singular value of a, 0.0 for an empty a.
-
-    Dense if its shorter side is at most 600, else ARPACK from equal entries.
-    """
-    from scipy.sparse.linalg import svds   # looked up at call time
-
-    if min(a.shape) <= 600:
-        s = np.linalg.svd(a, compute_uv=False)
-        return float(s[0]) if s.size else 0.0
-    return float(svds(a, k=1, v0=np.full(a.shape[1], 1.0 / np.sqrt(a.shape[1])),
-                      return_singular_vectors=False)[0])
+    """The largest singular value of a by the dense SVD, at every size; 0.0 for an empty a."""
+    s = np.linalg.svd(a, compute_uv=False)
+    return float(s[0]) if s.size else 0.0
 
 
 def _floor_basis(a, floor, block=None, overwrite_a=False):

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .alpha import nearest_distances, transient_filter
-from .opcore import (ModelSpec, OperatorPair, _checked_float, _checked_keys, apply_function,
+from .opcore import (ModelSpec, OperatorPair, _checked_float, _checked_object, apply_function,
                      build_model, eig, in_band, ladder_rung, snap_to_points)
 
 _BACKGROUNDS = ("zero", "gaussian_bump", "arctan_step_smoothed")
@@ -148,15 +148,13 @@ class PiecewiseFn:
 
     @classmethod
     def from_json(cls, text):
-        doc = json.loads(text)
-        _checked_keys(doc, ("jumps", "background"), "symbol", SymbolError)
-        for j in doc.get("jumps", ()):
-            _checked_keys(j, ("lambda", "left", "right"), "jump", SymbolError)
+        doc = _checked_object(json.loads(text), ("jumps", "background"), "symbol", SymbolError)
+        jumps = [_checked_object(j, ("lambda", "left", "right"), "jump", SymbolError)
+                 for j in doc.get("jumps", ())]
         jumps = tuple((j["lambda"], _limit_from_json(j["left"], "jump left limit"),
-                       _limit_from_json(j["right"], "jump right limit"))
-                      for j in doc.get("jumps", ()))
-        bg = doc.get("background", {"name": "zero", "params": []})
-        _checked_keys(bg, ("name", "params"), "background", SymbolError)
+                       _limit_from_json(j["right"], "jump right limit")) for j in jumps)
+        bg = _checked_object(doc.get("background", {"name": "zero", "params": []}),
+                             ("name", "params"), "background", SymbolError)
         return cls(jumps=jumps, background=bg["name"],
                    background_params=tuple(bg.get("params", ())))
 

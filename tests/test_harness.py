@@ -13,6 +13,7 @@ from click.testing import CliRunner
 import specdiff
 from specdiff import harness, opcore
 from specdiff import tolerances as tol
+from specdiff.alpha import EssSpectrumEstimate
 from specdiff.cli import main
 from specdiff.harness import ConfigError, ExperimentConfig, run, validate
 from specdiff.pcfunc import SymbolError
@@ -403,14 +404,102 @@ def test_unknown_config_key_rejected(tmp_path, key, value):
      SymbolError, "unknown jump key 'rigth'"),
     ("lambda_grid", {"min": -1.0, "max": 1.0, "count": 3, "step": 0.5}, ConfigError,
      "unknown lambda_grid key 'step'"),
+    ("model", "abc", opcore.ModelError, "model must be a JSON object, got str"),
+    ("phi", [], SymbolError, "symbol must be a JSON object, got list"),
+    ("phi", {"jumps": ["abc"]}, SymbolError, "jump must be a JSON object, got str"),
+    ("phi", {"background": [1]}, SymbolError, "background must be a JSON object, got list"),
+    ("lambda_grid", 5, ConfigError, "lambda_grid must be a JSON object, got int"),
 ])
 def test_unknown_nested_config_key_rejected(tmp_path, field, value, error, message):
-    # a misspelled key inside the model, the symbol or the grid is named, not ignored
+    # a misspelled key inside the model, the symbol or the grid is named, not ignored, and so
+    # is a value that is not the JSON object it should be (not read one character at a time)
     doc = _config(tmp_path, **{field: value})
     with pytest.raises(error, match=message):
         ExperimentConfig.from_json(json.dumps(doc))
     res = CliRunner().invoke(main, ["validate", "--config", _write(tmp_path, doc)])
     assert res.exit_code == 1 and f"config error: {message}" in res.output
+
+
+# one full phi_check config: a two-site model, a linspace grid, and a symbol with a jump and a
+# Gaussian bump
+PHI_CHECK = {"kind": "phi_check",
+             "model": {"kind": "lattice1d", "n_half": 50, "potential": [[0, 0.5], [1, 0.3]],
+                       "decay_rate": None, "seed": 0},
+             "lambda_grid": {"min": -1.0, "max": 1.0, "count": 3}, "n_list": [100, 200],
+             "phi": {"jumps": [{"lambda": 0.5, "left": [0.0, 0.0], "right": [1.0, 0.0]}],
+                     "background": {"name": "gaussian_bump", "params": [1.0, 0.0, 0.5]}},
+             "hankel_n": 200, "hankel_t": 50.0}
+BAD_VALUES = ("abc", [], {}, True, None, 5, -3, 2.5, [1], [[0]], {"x": 1})
+
+
+def _paths(doc, path=()):
+    # the path of every value of a JSON document, containers and leaves, the root first
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def test_every_malformed_value_is_a_named_config_error(tmp_path):
+    # each value of a full config, replaced in turn by each bad value, gives a ConfigError,
+    # ModelError or SymbolError, or a config that validate can check: never a bare ValueError,
+    # TypeError or AttributeError
+    doc = dict(PHI_CHECK, output_dir=str(tmp_path / "out"))
+    paths = list(_paths(doc))
+    assert len(paths) == 40
+    for path in paths:
+        for value in BAD_VALUES:
+            try:
+                config = ExperimentConfig.from_json(json.dumps(_replaced(doc, path, value)))
+            except (ConfigError, opcore.ModelError, SymbolError):
+                continue
+            assert isinstance(validate(config), list), (path, value)
+
+
+def test_canonical_json_and_hash_keep_their_bytes():
+    # a potential, a complex jump limit, a linspace grid and a bump; the literals pin the writer
+    doc = {"kind": "phi_check",
+           "model": {"kind": "lattice1d", "n_half": 50, "potential": [[1, -0.25], [0, 0.5]]},
+           "lambda_grid": {"min": -1.0, "max": 1.0, "count": 4}, "n_list": [100, 200],
+           "output_dir": "out",
+           "phi": {"jumps": [{"lambda": -0.5, "left": [0.0, 1.0], "right": [1.0, -0.5]}],
+                   "background": {"name": "gaussian_bump", "params": [1.0, 0.25, 0.5]}}}
+    cfg = ExperimentConfig.from_json(json.dumps(doc))
+    assert cfg.canonical_json() == (
+        '{"hankel_n": 200, "hankel_t": 50.0, "kind": "phi_check", "lambda_grid": [-1.0, '
+        '-0.33333333333333337, 0.33333333333333326, 1.0], "model": {"decay_rate": null, '
+        '"kind": "lattice1d", "n_half": 50, "potential": [[0, 0.5], [1, -0.25]], "seed": 0}, '
+        '"n_list": [100, 200], "output_dir": "out", "phi": {"background": {"name": '
+        '"gaussian_bump", "params": [1.0, 0.25, 0.5]}, "jumps": [{"lambda": -0.5, "left": '
+        '[0.0, 1.0], "right": [1.0, -0.5]}]}}')
+    assert cfg.config_hash() == "bd7f931d186c1568d5e0b75c97efd0a18a420419b5bac27857bd4df880694da1"
+    assert cfg.model.to_json() == ('{"kind": "lattice1d", "n_half": 50, "potential": '
+                                   '[[0, 0.5], [1, -0.25]], "decay_rate": null, "seed": 0}')
+
+
+def test_d_ladder_estimate_json_keeps_its_bytes():
+    est = EssSpectrumEstimate(lam=0.25, n_list=(100, 200, 400),
+                              eigenvalue_clouds=(np.array([-0.5, 0.0, 0.5]),
+                                                 np.array([-1.0, 1.0 / 3.0])),
+                              filtered_cloud=np.array([-0.1, 0.2]), alpha_empirical=0.2,
+                              fill_distance=0.30000000000000004, plus_one_count=1,
+                              minus_one_count=0, b4_residuals=(1e-15, 2.5e-14, np.float64(3e-13)))
+    assert est.to_json() == (
+        '{"lambda": 0.25, "n_list": [100, 200, 400], "eigenvalue_clouds": [[-0.5, 0.0, 0.5], '
+        '[-1.0, 0.3333333333333333]], "filtered_cloud": [-0.1, 0.2], "alpha_empirical": 0.2, '
+        '"fill_distance": 0.30000000000000004, "plus_one_count": 1, "minus_one_count": 0, '
+        '"b4_residuals": [1e-15, 2.5e-14, 3e-13]}')
 
 
 @pytest.mark.parametrize("field,value,key", [

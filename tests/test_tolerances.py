@@ -50,21 +50,21 @@ def test_only_the_tolerance_module_binds_numeric_constants():
 
 
 def test_only_opcore_reads_the_band_margin_and_calls_arpack():
-    # the band rule (opcore.in_band) and the singular-value route (opcore.leading_singvals)
+    # the band rule is opcore.in_band's alone, and no module imports scipy.sparse: every
+    # singular value is a dense SVD's or the certified kernel's (opcore.leading_singvals,
+    # opcore._floor_singvals), and ARPACK is called nowhere
     for info in pkgutil.iter_modules(specdiff.__path__):
         module = importlib.import_module(f"specdiff.{info.name}")
         tree = ast.parse(inspect.getsource(module))
         reads = [node for node in ast.walk(tree)
                  if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
                  and getattr(node, "id", getattr(node, "attr", None)) == "BAND_MARGIN"]
-        imports = [node for node in ast.walk(tree)
-                   if (isinstance(node, ast.ImportFrom) and node.module == "scipy.sparse.linalg")
-                   or (isinstance(node, ast.Import)
-                       and any(alias.name.startswith("scipy.sparse") for alias in node.names))]
-        if info.name == "opcore":
-            assert reads and imports
-        else:
-            assert not reads and not imports, info.name
+        imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names]
+        imported += [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) for alias in node.names]
+        assert not [name for name in imported if name.startswith("scipy.sparse")], info.name
+        assert bool(reads) == (info.name == "opcore"), info.name
 
 
 def _references():
