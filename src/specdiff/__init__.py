@@ -10,12 +10,21 @@ specdiff.cli does not load numpy and `specdiff --threads` still takes effect.
 """
 
 import importlib
+import os
 
 __version__ = "0.1.0"
 
 # the environment variables that cap the BLAS and OpenMP thread pools (specdiff --threads sets
 # them, and the run manifest records them)
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+# NumPy and SciPy each bundle an OpenBLAS whose idle workers spin for 2^28 cycles by default
+# after every threaded call, so code that alternates between the two keeps both pools spinning
+# against each other.  A timeout of 2^4 cycles lets them sleep.  Each copy reads the variable
+# when it loads, and this import loads no NumPy, so it is in place for both; a value already in
+# the environment wins.  Thread counts are untouched, so no result changes by a bit.
+BLAS_THREAD_TIMEOUT = "4"
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", BLAS_THREAD_TIMEOUT)
 
 _EXPORTS = {
     "alpha": ("AlphaEstimate", "EssSpectrumEstimate", "alpha_derivative",

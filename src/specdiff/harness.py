@@ -4,12 +4,13 @@ Each run consumes an ExperimentConfig (JSON), dispatches to the computational
 modules, writes CSV/JSON artifacts into the output directory, and finishes
 with a manifest recording the config hash, a content digest for every file,
 the tolerance table in force (tolerances.table(), read when the manifest is
-written), the environment (versions, BLAS builds and thread caps) and any
-per-point failures.  Only the manifest carries the environment, so every
-other artifact is the same bytes wherever it runs.  A config's keys are
-ExperimentConfig's fields, those with no default required, so it has no
-tolerance overrides: an unknown key is a ConfigError.  Its canonical_json, the
-bytes of its hash, is asdict with the symbol in its own shape.
+written), the environment (versions, BLAS builds, thread caps and the OpenBLAS
+thread timeout) and any per-point failures.  Only the manifest carries the
+environment, so every other artifact is the same bytes wherever it runs.  A
+config's keys are ExperimentConfig's fields, those with no default required,
+so it has no tolerance overrides: an unknown key is a ConfigError.  Its
+canonical_json, the bytes of its hash, is asdict with the symbol in its own
+shape.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import json
 import os
 import platform
 import time
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import cache, partial
 
 import numpy as np
@@ -27,8 +28,8 @@ import numpy as np
 from . import THREAD_VARS, __version__
 from . import tolerances as tol
 from .alpha import alpha_derivative, alpha_smatrix, d_spectrum_ladder, fredholm_check
-from .opcore import (ModelSpec, _checked_float, _checked_int, _checked_object, build_model,
-                     in_band)
+from .opcore import (ModelSpec, _checked_float, _checked_int, _checked_list, _checked_object,
+                     _required, build_model, in_band)
 from .pcfunc import PiecewiseFn, empirical_spectrum, hausdorff, predicted_ess_spectrum
 from .resolvent import boundary_value
 from .scatter1d import smatrix_stationary, smatrix_transfer
@@ -42,7 +43,8 @@ def _expand_grid(grid):
     # a list of points, or a {"min", "max", "count"} range object expanded by linspace
     if isinstance(grid, (list, tuple)):
         return [_checked_float(x, "lambda_grid", ConfigError) for x in grid]
-    _checked_object(grid, ("min", "max", "count"), "lambda_grid", ConfigError)
+    keys = ("min", "max", "count")
+    _checked_object(grid, keys, "lambda_grid", ConfigError, required=keys)
     count = _checked_int(grid["count"], "lambda_grid count", ConfigError)
     if count < 0:
         raise ConfigError(f"lambda_grid count must be >= 0, got {count}")
@@ -65,8 +67,9 @@ class ExperimentConfig:
         if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         object.__setattr__(self, "lambda_grid", tuple(_expand_grid(self.lambda_grid)))
-        object.__setattr__(self, "n_list",
-                           tuple(_checked_int(n, "n_list", ConfigError) for n in self.n_list))
+        n_list = _checked_list(self.n_list, "n_list", ConfigError)
+        object.__setattr__(self, "n_list", tuple(_checked_int(n, "n_list", ConfigError)
+                                                 for n in n_list))
         object.__setattr__(self, "hankel_n", _checked_int(self.hankel_n, "hankel_n", ConfigError))
         object.__setattr__(self, "hankel_t", _checked_float(self.hankel_t, "hankel_t", ConfigError))
         if not isinstance(self.output_dir, str):
@@ -75,17 +78,13 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text):
         """The config of a JSON object whose keys are the fields, those with no default required."""
-        doc = _checked_object(json.loads(text), [f.name for f in fields(cls)], "config", ConfigError)
+        doc = _checked_object(json.loads(text), [f.name for f in fields(cls)], "config", ConfigError,
+                              required=_required(cls))
         try:
-            for f in fields(cls):
-                if f.default is MISSING and f.name not in doc:
-                    raise ConfigError(f"config lacks key {f.name!r}")
             kwargs = dict(doc, model=ModelSpec.from_json(json.dumps(doc["model"])))
             if doc.get("phi") is not None:
                 kwargs["phi"] = PiecewiseFn.from_json(json.dumps(doc["phi"]))
             return cls(**kwargs)
-        except KeyError as exc:
-            raise ConfigError(f"config lacks key {exc.args[0]!r}") from exc
         except TypeError as exc:
             raise ConfigError(f"malformed config: {exc}") from exc
 
@@ -145,12 +144,13 @@ def validate(config: ExperimentConfig):
 
 @cache
 def _environment():
-    # versions, both BLAS builds (NumPy and SciPy bundle one each) and the thread caps in force
-    # (None where unset), read once per process, for the manifest
+    # versions, both BLAS builds (NumPy and SciPy bundle one each), and the thread caps and the
+    # OpenBLAS thread timeout in force (None where unset), read once per process, for the manifest
     import scipy
 
     env = {"python": platform.python_version(), "specdiff": __version__,
-           "thread_caps": {var: os.environ.get(var) for var in THREAD_VARS}}
+           "thread_caps": {var: os.environ.get(var) for var in THREAD_VARS},
+           "openblas_thread_timeout": os.environ.get("OPENBLAS_THREAD_TIMEOUT")}
     for lib in (np, scipy):
         dep = lib.show_config(mode="dicts")["Build Dependencies"]["blas"]
         env[lib.__name__] = lib.__version__

@@ -64,19 +64,35 @@ def _checked_float(value, name, error=ModelError) -> float:
     raise error(f"{name} must be a number, got {value!r}")
 
 
-def _checked_object(doc, known, what, error=ModelError) -> dict:
-    """doc if it is a JSON object with keys only from known, else error naming what or the key."""
+def _checked_list(value, name, error=ModelError) -> tuple:
+    """value as a tuple; error naming the field unless it is a list (a JSON array) or a tuple."""
+    if isinstance(value, (list, tuple)):
+        return tuple(value)
+    raise error(f"{name} must be a list, got {type(value).__name__}")
+
+
+def _checked_object(doc, known, what, error=ModelError, required=()) -> dict:
+    """doc if it is a JSON object with keys only from known and every key of required, else
+    error naming what or the key."""
     if not isinstance(doc, dict):
         raise error(f"{what} must be a JSON object, got {type(doc).__name__}")
     for key in doc:
         if key not in known:
             raise error(f"unknown {what} key {key!r}")
+    for key in required:
+        if key not in doc:
+            raise error(f"{what} lacks key {key!r}")
     return doc
+
+
+def _required(cls):
+    # the fields of a dataclass that have no default: the keys its JSON object must have
+    return [f.name for f in fields(cls) if f.default is MISSING]
 
 
 def _canonical_potential(potential):
     items = []
-    for pair in potential:
+    for pair in _checked_list(potential, "potential"):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ModelError(f"potential entries must be [site, value] pairs, got {pair!r}")
         site = _checked_int(pair[0], "potential site")
@@ -139,11 +155,8 @@ class ModelSpec:
     @classmethod
     def from_json(cls, text):
         """The spec of a JSON object whose keys are the fields, those with no default required."""
-        doc = _checked_object(json.loads(text), [f.name for f in fields(cls)], "model")
-        for f in fields(cls):
-            if f.default is MISSING and f.name not in doc:
-                raise ModelError(f"model config lacks {f.name!r}")
-        return cls(**doc)
+        return cls(**_checked_object(json.loads(text), [f.name for f in fields(cls)], "model",
+                                     required=_required(cls)))
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,8 @@ import numpy as np
 
 from . import tolerances as tol
 from .alpha import nearest_distances, transient_filter
-from .opcore import (ModelSpec, OperatorPair, _checked_float, _checked_object, apply_function,
-                     build_model, eig, in_band, ladder_rung, snap_to_points)
+from .opcore import (ModelSpec, OperatorPair, _checked_float, _checked_list, _checked_object,
+                     apply_function, build_model, eig, in_band, ladder_rung, snap_to_points)
 
 _BACKGROUNDS = ("zero", "gaussian_bump", "arctan_step_smoothed")
 
@@ -86,14 +86,16 @@ class PiecewiseFn:
             raise SymbolError(f"unknown background preset {self.background!r}")
         jumps = tuple((_checked_float(lam, "jump location", SymbolError),
                        _checked_limit(lo, "jump left limit"),
-                       _checked_limit(hi, "jump right limit")) for lam, lo, hi in self.jumps)
+                       _checked_limit(hi, "jump right limit"))
+                      for lam, lo, hi in _checked_list(self.jumps, "jumps", SymbolError))
         locs = [lam for lam, _, _ in jumps]
         if locs != sorted(locs) or len(set(locs)) != len(locs):
             raise SymbolError("jump locations must be strictly increasing")
         object.__setattr__(self, "jumps", jumps)
         object.__setattr__(self, "background_params",
                            tuple(_checked_float(p, "background parameter", SymbolError)
-                                 for p in self.background_params))
+                                 for p in _checked_list(self.background_params,
+                                                        "background params", SymbolError)))
         # evaluating the presets requires their parameters up front
         _background_fn(self.background, self.background_params)
 
@@ -149,14 +151,14 @@ class PiecewiseFn:
     @classmethod
     def from_json(cls, text):
         doc = _checked_object(json.loads(text), ("jumps", "background"), "symbol", SymbolError)
-        jumps = [_checked_object(j, ("lambda", "left", "right"), "jump", SymbolError)
-                 for j in doc.get("jumps", ())]
+        keys = ("lambda", "left", "right")
+        jumps = [_checked_object(j, keys, "jump", SymbolError, required=keys)
+                 for j in _checked_list(doc.get("jumps", ()), "jumps", SymbolError)]
         jumps = tuple((j["lambda"], _limit_from_json(j["left"], "jump left limit"),
                        _limit_from_json(j["right"], "jump right limit")) for j in jumps)
         bg = _checked_object(doc.get("background", {"name": "zero", "params": []}),
-                             ("name", "params"), "background", SymbolError)
-        return cls(jumps=jumps, background=bg["name"],
-                   background_params=tuple(bg.get("params", ())))
+                             ("name", "params"), "background", SymbolError, required=("name",))
+        return cls(jumps=jumps, background=bg["name"], background_params=bg.get("params", ()))
 
 
 def _direction(w):

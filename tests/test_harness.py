@@ -16,7 +16,7 @@ from specdiff import tolerances as tol
 from specdiff.alpha import EssSpectrumEstimate
 from specdiff.cli import main
 from specdiff.harness import ConfigError, ExperimentConfig, run, validate
-from specdiff.pcfunc import SymbolError
+from specdiff.pcfunc import PiecewiseFn, SymbolError
 
 MODEL = {"kind": "lattice1d", "n_half": 50, "potential": [[0, 0.5]],
          "decay_rate": None, "seed": 0}
@@ -202,7 +202,7 @@ def test_model_config_keys(tmp_path):
             opcore.ModelSpec.from_json(json.dumps(doc))
         res = CliRunner().invoke(main, ["validate", "--config",
                                         _write(tmp_path, _config(tmp_path, model=doc))])
-        assert res.exit_code == 1 and f"config error: model config lacks '{key}'" in res.output
+        assert res.exit_code == 1 and f"config error: model lacks key '{key}'" in res.output
     model = {"kind": "lattice1d", "n_half": 5}
     res = CliRunner().invoke(main, ["validate", "--config",
                                     _write(tmp_path, _config(tmp_path, model=model))])
@@ -280,18 +280,20 @@ def test_manifest_records_the_environment_in_force(tmp_path):
         "except SystemExit as exc:",
         "    assert exc.code == 0, exc.code",
     ))
-    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env = {k: v for k, v in os.environ.items()
+           if not k.endswith("_NUM_THREADS") and k != "OPENBLAS_THREAD_TIMEOUT"}
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(specdiff.__file__)))
     out = subprocess.run([sys.executable, "-c", script, cfg_path], env=env,
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     environment = manifest["environment"]
-    assert sorted(environment) == ["numpy", "numpy_blas", "python", "scipy", "scipy_blas",
-                                   "specdiff", "thread_caps"]
+    assert sorted(environment) == ["numpy", "numpy_blas", "openblas_thread_timeout", "python",
+                                   "scipy", "scipy_blas", "specdiff", "thread_caps"]
     assert environment["numpy"] == np.__version__
     assert environment["specdiff"] == specdiff.__version__
     assert environment["thread_caps"] == {var: "1" for var in specdiff.THREAD_VARS}
+    assert environment["openblas_thread_timeout"] == specdiff.BLAS_THREAD_TIMEOUT
     assert all(environment[key] for key in ("numpy_blas", "scipy_blas"))
     # the environment is the manifest's alone: the artifact is the in-process run's bytes
     first = (tmp_path / "out" / "alpha_sweep.csv").read_bytes()
@@ -430,6 +432,7 @@ PHI_CHECK = {"kind": "phi_check",
                      "background": {"name": "gaussian_bump", "params": [1.0, 0.0, 0.5]}},
              "hankel_n": 200, "hankel_t": 50.0}
 BAD_VALUES = ("abc", [], {}, True, None, 5, -3, 2.5, [1], [[0]], {"x": 1})
+REMOVED = object()      # _replaced deletes the value at the path instead
 
 
 def _paths(doc, path=()):
@@ -447,24 +450,39 @@ def _replaced(doc, path, value):
     node = doc
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = value
+    if value is REMOVED:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
     return doc
 
 
 def test_every_malformed_value_is_a_named_config_error(tmp_path):
-    # each value of a full config, replaced in turn by each bad value, gives a ConfigError,
-    # ModelError or SymbolError, or a config that validate can check: never a bare ValueError,
-    # TypeError or AttributeError
+    # each value of a full config, replaced in turn by each bad value or removed, gives a
+    # ConfigError, ModelError or SymbolError that names what is wrong (not the "malformed config"
+    # of a TypeError the checks missed), or a config that validate can check: never a bare
+    # ValueError, TypeError, KeyError or AttributeError.  The model and the symbol, parsed alone,
+    # raise only their own error.
     doc = dict(PHI_CHECK, output_dir=str(tmp_path / "out"))
     paths = list(_paths(doc))
     assert len(paths) == 40
+    nested = {"model": (opcore.ModelSpec.from_json, opcore.ModelError),
+              "phi": (PiecewiseFn.from_json, SymbolError)}
     for path in paths:
-        for value in BAD_VALUES:
+        for value in BAD_VALUES + ((REMOVED,) if path else ()):
+            bad = _replaced(doc, path, value)
             try:
-                config = ExperimentConfig.from_json(json.dumps(_replaced(doc, path, value)))
-            except (ConfigError, opcore.ModelError, SymbolError):
-                continue
-            assert isinstance(validate(config), list), (path, value)
+                config = ExperimentConfig.from_json(json.dumps(bad))
+            except (ConfigError, opcore.ModelError, SymbolError) as exc:
+                assert not str(exc).startswith("malformed config"), (path, value, exc)
+            else:
+                assert isinstance(validate(config), list), (path, value)
+            if len(path) > 1 and path[0] in nested:
+                from_json, error = nested[path[0]]
+                try:
+                    from_json(json.dumps(bad[path[0]]))
+                except error:
+                    pass
 
 
 def test_canonical_json_and_hash_keep_their_bytes():
@@ -507,11 +525,13 @@ def test_d_ladder_estimate_json_keeps_its_bytes():
     ("phi", {"jumps": [{"lambda": 0.5, "left": [0, 0]}]}, "right"),
 ])
 def test_malformed_nested_config_is_a_config_error(tmp_path, field, value, key):
+    # the object that lacks the key names it, with its own error: the grid, or the symbol's jump
+    error, what = {"lambda_grid": (ConfigError, "lambda_grid"), "phi": (SymbolError, "jump")}[field]
     doc = _config(tmp_path, **{field: value})
-    with pytest.raises(ConfigError, match=f"config lacks key '{key}'"):
+    with pytest.raises(error, match=f"{what} lacks key '{key}'"):
         ExperimentConfig.from_json(json.dumps(doc))
     res = CliRunner().invoke(main, ["validate", "--config", _write(tmp_path, doc)])
-    assert res.exit_code == 1 and f"config error: config lacks key '{key}'" in res.output
+    assert res.exit_code == 1 and f"config error: {what} lacks key '{key}'" in res.output
 
 
 @pytest.mark.parametrize("overrides,lams,error_type", [
@@ -610,6 +630,27 @@ def test_threads_option_takes_effect_before_numpy_loads(tmp_path):
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["config", "ok", "1"]
+
+
+def test_import_sets_the_openblas_thread_timeout_before_numpy_loads():
+    # both bundled OpenBLAS copies read the timeout when they load, so importing specdiff sets it
+    # while NumPy is still unloaded; a value already in the environment is kept
+    script = "\n".join((
+        "import os, sys",
+        "import specdiff",
+        "print(os.environ['OPENBLAS_THREAD_TIMEOUT'])",
+        "import specdiff.cli",
+        "assert 'numpy' not in sys.modules, 'importing specdiff.cli loaded numpy'",
+    ))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(specdiff.__file__)))
+    own = str(int(specdiff.BLAS_THREAD_TIMEOUT) + 1)
+    for preset, expected in ((None, specdiff.BLAS_THREAD_TIMEOUT), (own, own)):
+        run_env = env if preset is None else dict(env, OPENBLAS_THREAD_TIMEOUT=preset)
+        out = subprocess.run([sys.executable, "-c", script], env=run_env,
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == [expected]
 
 
 SWEEP_HEADERS = {kind: _DISPATCH_HEADER for kind, _DISPATCH_HEADER in
