@@ -28,8 +28,8 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import tolerances as tol
-from .opcore import (ModelSpec, OperatorPair, build_model, count_below, first_true, in_band,
-                     ladder_rung, select_spectrum, unbatch)
+from .opcore import (ModelSpec, OperatorPair, _checked_int, build_model, count_below, first_true,
+                     in_band, ladder_rung, select_spectrum, unbatch)
 from .resolvent import BoundaryValue
 
 
@@ -202,7 +202,7 @@ def d_spectrum_ladder(spec: ModelSpec, lam, n_list):
     """
     batch = np.ndim(lam) > 0
     lams = np.ravel(np.asarray(lam, dtype=float)).tolist()
-    n_list = tuple(int(n) for n in n_list)
+    n_list = tuple(_checked_int(n, "n_list", AlphaError) for n in n_list)
     if len(n_list) < 3 or list(n_list) != sorted(n_list):
         raise AlphaError("n_list must be ascending with at least 3 entries")
     clouds = [[] for _ in lams]

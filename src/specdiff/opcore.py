@@ -7,29 +7,30 @@ hopping_eigenpairs and solves only H), the one closed form of H0's spectrum
 (hopping_eigenvalues), the one band rule (in_band), the two singular-value
 routines (leading_singvals for the top value, by the dense SVD at every size,
 _floor_singvals for every value above a floor, from the certified range basis
-of _floor_basis), spectral projections and functions of operators phi(H).  An
-eigenvalue meets a spectral point by one rule, which gives open windows
-(select_spectrum) and strict prefixes (count_below); a symbol's left limit at
-a jump is PiecewiseFn.on_spectrum's.  A ladder rung (Rung) holds a pair in
-H0's eigenbasis: both spectra, the overlap W = Phi^T Psi of the eigenvectors
-and G Phi.  Its one cloud method, cloud(f), gives the eigenvalues of
-f(H) - f(H0) for f, a map from an ascending whole spectrum to a symbol's
-values, and chooses its kernel from those values: a step's from two cross
-blocks of W, any other f's from a basis of M = W o (f(mu)^T - f(lambda))
-(mixed, symbol_factor), each certified to tol.CLOUD_FLOOR.  The rung reads no
-symbol; the convention at a jump is f's.  ladder_rung is the one place that
-chooses a rung's route, by one rule on the pair (one_site_at_origin): the even
-sector of a one-site V at lattice1d site 0 (even_sector: eigenvalues only, and
-W as a Cauchy matrix), or H0's closed form and one solve of H, with W and G
-Phi as sine transforms.  The two whole decompositions, eig(pair, 'free') and
-eig(pair, 'full'), stay the oracle.  Its thresholds are read from
-specdiff.tolerances.  Every dense product and factorization goes through
-NumPy's BLAS; SciPy, which bundles a second OpenBLAS with its own thread pool,
-serves only the tridiagonal solves (eigh_tridiagonal, driver stevd) and the
-sine transform (fft.dst).  A model's JSON object is its dataclass: ModelSpec's
-fields are its keys, those with no default required, and to_json writes
-asdict; _checked_object, the one check of a config object, serves the symbol
-(pcfunc) and the experiment config (harness) too.
+of _floor_basis, one growth rule with no options), spectral projections and
+functions of operators phi(H).  An eigenvalue meets a spectral point by one
+rule, which gives open windows (select_spectrum) and strict prefixes
+(count_below); a symbol's left limit at a jump is PiecewiseFn.on_spectrum's.  A
+ladder rung (Rung) holds a pair in H0's eigenbasis: both spectra, the overlap
+W = Phi^T Psi of the eigenvectors and G Phi.  Its one cloud method, cloud(f),
+gives the eigenvalues of f(H) - f(H0) for f, a map from an ascending whole
+spectrum to a symbol's values, and chooses its kernel from those values: a
+step's from two cross blocks of W, any other f's from a basis of M = W o
+(f(mu)^T - f(lambda)) (mixed, symbol_factor), each certified to
+tol.CLOUD_FLOOR.  The rung reads no symbol; the convention at a jump is
+f's.  ladder_rung is the one place that chooses a rung's route, by one rule on
+the pair (one_site_at_origin): the even sector of a one-site V at lattice1d
+site 0 (even_sector: eigenvalues only, and W as a Cauchy matrix), or H0's
+closed form and one solve of H, with W and G Phi as sine transforms.  The two
+whole decompositions, eig(pair, 'free') and eig(pair, 'full'), stay the
+oracle.  Its thresholds are read from specdiff.tolerances.  Every dense product
+and factorization goes through NumPy's BLAS; SciPy, which bundles a second
+OpenBLAS with its own thread pool, serves only the tridiagonal solves
+(eigh_tridiagonal, driver stevd) and the sine transform (fft.dst).  A model's
+JSON object is its dataclass: ModelSpec's fields are its keys, those with no
+default required, and to_json writes asdict; _checked_object, the one check of
+a config object, serves the symbol (pcfunc) and the experiment config
+(harness) too.
 """
 
 from __future__ import annotations
@@ -425,14 +426,16 @@ class Rung:
         """(Q, B) with ||f(H) - f(H0) - Q B||_F <= tol.CLOUD_FLOOR / 2, Q orthonormal.
 
         In the rung basis D = f(H) - f(H0) = M W^T (mixed), numerically of low
-        rank.  Q is a range basis of M (_floor_basis, which overwrites M with its
-        residual in place, through NumPy's BLAS alone) and B = (Q^T M) W^T; W is
-        orthogonal, so ||D - Q B||_F = ||M - Q Q^T M||_F.  Where the basis does not
-        pay, on a rung of at most 600 rows (where the dense route is faster) or a
-        full-rank M, Q is None and B is D.
+        rank.  Q is a range basis of M (_floor_basis, which overwrites M) and
+        B = (Q^T M) W^T; W is orthogonal, so ||D - Q B||_F = ||M - Q Q^T M||_F.
+        Where the basis does not pay, on a rung of at most 600 rows or a
+        full-rank M, Q is None and B is D.  The phi workload has rungs on both
+        sides of that size: on its two-site rungs (basis width 160, 2 BLAS
+        threads) a cloud took 18-24 ms dense against 31-35 ms by the basis at
+        501 rows, and 86-102 against 62-74 ms at 1001.
         """
         if self.overlap.shape[0] > 600:
-            basis = _floor_basis(self.mixed(f), tol.CLOUD_FLOOR / 2, block=64, overwrite_a=True)
+            basis = _floor_basis(self.mixed(f), tol.CLOUD_FLOOR / 2)
             if basis is not None:
                 return basis[0], basis[1] @ self.overlap.T
         return None, self.mixed(f) @ self.overlap.T
@@ -603,53 +606,43 @@ def leading_singvals(a) -> float:
     return float(s[0]) if s.size else 0.0
 
 
-def _floor_basis(a, floor, block=None, overwrite_a=False):
-    """(Q, Q^T a) for an orthonormal Q with ||a - Q Q^T a||_F <= floor, or None.
+def _floor_basis(a, floor):
+    """(Q, Q^T a) for an orthonormal Q with ||a - Q Q^T a||_F <= floor, or None; a is overwritten.
 
-    A range basis Q grows from a fixed-seed Gaussian block of 32 columns
-    (Halko, Martinsson & Tropp, SIAM Review 53, 2011), keeping its columns and
-    residual while it fails.  By default each new block takes one
-    re-orthonormalised power step on the residual and doubles the basis.  With
-    a block size each new block is that many columns and takes no power step:
-    two fewer passes over a per block, for a matrix whose rank lies far above
-    32.  Once the basis would reach half the shorter side the answer is None
-    and the caller takes its dense route, so small and full-rank matrices keep
-    its bits.  With overwrite_a (a float a, best Fortran-ordered, so that each
-    block is contiguous) the residual is updated in a itself, 256 columns at a
-    time, so no second matrix of a's size is allocated; a then holds the
-    residual.  The update goes through NumPy's BLAS, like every other product
-    here: SciPy's is a second OpenBLAS with its own thread pool, and the two
-    pools would contend for the cores.
+    A range basis Q grows from a fixed-seed Gaussian block of 32 columns by 64
+    columns a block (Halko, Martinsson & Tropp, SIAM Review 53, 2011), with no
+    power step, keeping its columns while it fails.  Once it would reach half
+    the shorter side the answer is None and the caller takes its dense route,
+    so small and full-rank matrices keep its bits.  The residual is updated in a
+    itself (a float array the caller gives up, best Fortran-ordered), 256
+    columns at a time through NumPy's BLAS, so no second matrix of a's size is
+    allocated.
     """
     rng = np.random.default_rng(0)
-    q, rows, resid, width = np.empty((a.shape[0], 0)), [], a, 32
+    q, rows, width = np.empty((a.shape[0], 0)), [], 32
     while 2 * width < min(a.shape):
-        y = np.linalg.qr(resid @ rng.standard_normal((a.shape[1], width - q.shape[1])))[0]
-        if block is None:
-            y = resid @ np.linalg.qr(resid.T @ y)[0]
+        y = np.linalg.qr(a @ rng.standard_normal((a.shape[1], width - q.shape[1])))[0]
         y = np.linalg.qr(y - q @ (q.T @ y))[0]
-        rows.append(y.T @ resid)
-        if overwrite_a:                 # resid -= y rows[-1] in place, in bounded column blocks
-            for start in range(0, resid.shape[1], 256):
-                resid[:, start:start + 256] -= y @ rows[-1][:, start:start + 256]
-        else:
-            resid = resid - y @ rows[-1]
+        rows.append(y.T @ a)
+        for start in range(0, a.shape[1], 256):     # a -= y rows[-1], in bounded column blocks
+            a[:, start:start + 256] -= y @ rows[-1][:, start:start + 256]
         q = np.hstack([q, y])
-        if np.linalg.norm(resid) <= floor:
+        if np.linalg.norm(a) <= floor:
             return q, np.vstack(rows)
-        width = 2 * width if block is None else width + block
+        width += 64
     return None
 
 
 def _floor_singvals(a) -> np.ndarray:
     """All min(a.shape) singular values of a, descending, each within tol.CLOUD_FLOOR of exact.
 
-    With Q from _floor_basis(a, tol.CLOUD_FLOOR), sigma(Q^T a), padded with
-    zeros, is within that floor of sigma(a) by Weyl's inequality: a
+    With Q from _floor_basis on a Fortran copy of a (a step's cross blocks are
+    views of the rung's W, which every lambda reads again), sigma(Q^T a), padded
+    with zeros, is within tol.CLOUD_FLOOR of sigma(a) by Weyl's inequality: a
     certificate, not a probability.  Where the basis does not pay the dense
     SVD serves, so small and full-rank matrices get its bits.
     """
-    basis = _floor_basis(a, tol.CLOUD_FLOOR)
+    basis = _floor_basis(np.array(a, order="F"), tol.CLOUD_FLOOR)
     if basis is None:
         return np.linalg.svd(a, compute_uv=False)
     s = np.linalg.svd(basis[1], compute_uv=False)

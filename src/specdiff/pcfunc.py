@@ -24,8 +24,9 @@ import numpy as np
 
 from . import tolerances as tol
 from .alpha import nearest_distances, transient_filter
-from .opcore import (ModelSpec, OperatorPair, _checked_float, _checked_list, _checked_object,
-                     apply_function, build_model, eig, in_band, ladder_rung, snap_to_points)
+from .opcore import (ModelSpec, OperatorPair, _checked_float, _checked_int, _checked_list,
+                     _checked_object, apply_function, build_model, eig, in_band, ladder_rung,
+                     snap_to_points)
 
 _BACKGROUNDS = ("zero", "gaussian_bump", "arctan_step_smoothed")
 
@@ -84,14 +85,18 @@ class PiecewiseFn:
     def __post_init__(self):
         if self.background not in _BACKGROUNDS:
             raise SymbolError(f"unknown background preset {self.background!r}")
-        jumps = tuple((_checked_float(lam, "jump location", SymbolError),
-                       _checked_limit(lo, "jump left limit"),
-                       _checked_limit(hi, "jump right limit"))
-                      for lam, lo, hi in _checked_list(self.jumps, "jumps", SymbolError))
+        jumps = []
+        for jump in _checked_list(self.jumps, "jumps", SymbolError):
+            if len(_checked_list(jump, "jump", SymbolError)) != 3:
+                raise SymbolError(f"jump must be (location, left limit, right limit), got {jump!r}")
+            lam, lo, hi = jump
+            jumps.append((_checked_float(lam, "jump location", SymbolError),
+                          _checked_limit(lo, "jump left limit"),
+                          _checked_limit(hi, "jump right limit")))
         locs = [lam for lam, _, _ in jumps]
         if locs != sorted(locs) or len(set(locs)) != len(locs):
             raise SymbolError("jump locations must be strictly increasing")
-        object.__setattr__(self, "jumps", jumps)
+        object.__setattr__(self, "jumps", tuple(jumps))
         object.__setattr__(self, "background_params",
                            tuple(_checked_float(p, "background parameter", SymbolError)
                                  for p in _checked_list(self.background_params,
@@ -275,7 +280,7 @@ def _spectra(spec, phis, n_list):
     if not all(phi.is_real for phi in phis):
         raise SymbolError("complex symbols excluded from empirical validation "
                           "(difference non-normal; finite-section spectra unreliable)")
-    n_list = tuple(int(n) for n in n_list)
+    n_list = tuple(_checked_int(n, "n_list", SymbolError) for n in n_list)
     if not n_list or list(n_list) != sorted(n_list):
         raise SymbolError("n_list must be ascending and non-empty")
     clouds = [[] for _ in phis]
@@ -329,7 +334,7 @@ def cross_term_compactness(spec: ModelSpec, phi1: PiecewiseFn, phi2: PiecewiseFn
     overlap = set(phi1.singsupp()) & set(phi2.singsupp())
     if overlap:
         raise SymbolError(f"symbols share jump locations {sorted(overlap)}")
-    n_list = tuple(int(n) for n in n_list)
+    n_list = tuple(_checked_int(n, "n_list", SymbolError) for n in n_list)
     if len(n_list) < 2:
         raise SymbolError("need at least 2 ladder rungs")
     dim = replace(spec, n_half=min(n_list)).dim
@@ -363,7 +368,7 @@ def union_formula_check(spec: ModelSpec, phi: PiecewiseFn, n_list) -> dict:
     pieces = phi.step_pieces()
     if not pieces:
         raise SymbolError("symbol has no jumps to decompose")
-    n_list = tuple(int(n) for n in n_list)
+    n_list = tuple(_checked_int(n, "n_list", SymbolError) for n in n_list)
     if len(n_list) < 2:
         raise SymbolError("need at least 2 ladder rungs")
     results = _spectra(spec, (PiecewiseFn(jumps=phi.jumps),) + pieces, n_list)

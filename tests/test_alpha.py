@@ -149,6 +149,8 @@ def test_ladder_trivial_and_guards():
     assert all(np.max(np.abs(c)) <= 1e-12 for c in est.eigenvalue_clouds)
     with pytest.raises(AlphaError):
         d_spectrum_ladder(ModelSpec("lattice1d", 10), 0.0, (50, 100))
+    with pytest.raises(AlphaError, match="n_list must be an integer"):
+        d_spectrum_ladder(ModelSpec("lattice1d", 10), 0.0, ("20", 30, 40))
 
 
 def test_ladder_off_spectrum_compact():

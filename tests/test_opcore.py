@@ -254,14 +254,14 @@ def _svd_shapes(monkeypatch):
 
 def test_cloud_kernel_is_exact_to_the_floor(monkeypatch):
     # geometric singular values 0.6^i down to a tail at 1e-15: a 32-column basis misses
-    # values above the floor, the grown 64-column one does not
+    # values above the floor, the basis grown by one block of 64 to 96 columns does not
     rng = np.random.default_rng(3)
     s = np.maximum(0.6 ** np.arange(300), 1e-15)
     a = (_orthogonal(rng, 400)[:, :300] * s) @ _orthogonal(rng, 300).T
     exact = np.linalg.svd(a, compute_uv=False)
     shapes = _svd_shapes(monkeypatch)
     got = _floor_singvals(a)
-    assert shapes == [(64, 300)]
+    assert shapes == [(96, 300)]
     assert got.shape == exact.shape and np.all(np.diff(got) <= 0)
     assert np.max(np.abs(got - exact)) <= tol.CLOUD_FLOOR
     assert np.max(np.abs(got - s)) <= tol.CLOUD_FLOOR
@@ -280,10 +280,16 @@ def test_cloud_kernel_gives_the_dense_bits_on_small_and_full_rank_blocks(monkeyp
 
 
 def test_cloud_kernel_is_deterministic_and_exact_on_empty_and_zero_blocks():
-    w = ladder_rung(build_model(ModelSpec("lattice1d", 1000, ((0, 1.0),)))).overlap
+    rung = ladder_rung(build_model(ModelSpec("lattice1d", 1000, ((0, 1.0),))))
+    w = rung.overlap
     k = w.shape[0] // 2
     first = _floor_singvals(w[k:, :k])
     assert np.array_equal(first, _floor_singvals(w[k:, :k]))
+    # the range finder overwrites what it is given, but a step's cross blocks are views of W,
+    # which every lambda reads again
+    before = w.copy()
+    rung.cloud(_indicator(0.0))
+    assert np.array_equal(w, before)
     for shape in ((0, 0), (0, 5), (5, 0)):
         assert _floor_singvals(np.zeros(shape)).shape == (0,)
     eye = np.eye(401)                                    # the W of V = 0
@@ -342,7 +348,7 @@ def test_symbol_kernel_updates_its_residual_in_place():
     nbytes = m.nbytes
     tracemalloc.start()
     try:
-        basis = opcore._floor_basis(m, tol.CLOUD_FLOOR / 2, block=64, overwrite_a=True)
+        basis = opcore._floor_basis(m, tol.CLOUD_FLOOR / 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -27,6 +27,10 @@ def test_symbol_validation_and_round_trip():
         PiecewiseFn(jumps=((0.5, 0, 1), (-0.5, 0, 1)))
     with pytest.raises(SymbolError):
         PiecewiseFn(background="spline")
+    # a jump is a 3-item list or tuple, or the error names it
+    for jumps in ([(0.5, 1)], [0.5], [(0.5, 0.0, 1.0, 2.0)]):
+        with pytest.raises(SymbolError, match="jump must be"):
+            PiecewiseFn(jumps=jumps)
     # a field that is not a number names itself (through JSON: tests/test_harness.py)
     for kwargs, field in [(dict(jumps=(("abc", 0.0, 1.0),)), "jump location"),
                           (dict(jumps=((0.5, "0", 1.0),)), "jump left limit"),
@@ -258,6 +262,8 @@ def test_union_formula_needs_two_rungs():
     phi = PiecewiseFn(jumps=((0.0, 0.0, 1.0),))
     with pytest.raises(SymbolError, match="at least 2 ladder rungs"):
         union_formula_check(SPEC, phi, (20,))
+    with pytest.raises(SymbolError, match="n_list must be an integer"):   # not cut to N = 20
+        empirical_spectrum(SPEC, phi, (20.7, 40))
 
 
 def test_union_formula_matches_per_symbol_ladders_bitwise():

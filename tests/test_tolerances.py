@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import specdiff
+from specdiff import opcore
 from specdiff import tolerances as tol
 from specdiff.alpha import d_spectrum_ladder, fredholm_check, transient_filter
 from specdiff.harness import ExperimentConfig, run, validate
@@ -108,6 +109,9 @@ def test_only_the_rung_chooses_the_cloud_kernel():
             assert "jumps" not in attrs and kernels <= refs
         else:
             assert not kernels & refs, name
+    # one range finder with no options: it takes the matrix it overwrites and the floor it
+    # certifies, nothing that picks a growth rule or a copy
+    assert list(inspect.signature(opcore._floor_basis).parameters) == ["a", "floor"]
 
 
 def test_one_owner_for_each_spectral_point_convention():
