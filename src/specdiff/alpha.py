@@ -6,8 +6,8 @@ is computed (i) from the derivative formula pi ||F0'^(1/2) J F'^(1/2)||,
 on finite truncations.  d_spectrum_ladder tracks the eigenvalue cloud of
 D = E(-inf,lambda) - E0(-inf,lambda) along a ladder of truncations, for one
 lambda or a lambda batch from one decomposition per rung.
-The ladders and alpha_proj_limit read only the rung (opcore.ladder_rung),
-which chooses its route from the pair; D's cloud is Rung.cloud of the step 1
+The ladders (opcore._ladder) and alpha_proj_limit read only the rung
+(opcore.ladder_rung), which chooses its route from the pair; D's cloud is Rung.cloud of the step 1
 strictly below lambda (select_spectrum).  E0 is an exact prefix mask in the rung
 basis, so the D^2 identity residual is Q^2 - Q for E = Q, in closed form from
 the Gram matrix of the rung's eigenvector block W[:, :k1] (_b4_residual_norm).
@@ -23,13 +23,14 @@ gives alpha = 0.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import tolerances as tol
-from .opcore import (ModelSpec, OperatorPair, _checked_int, build_model, count_below, first_true,
-                     in_band, ladder_rung, select_spectrum, unbatch)
+from .opcore import (ModelSpec, OperatorPair, _ladder, count_below, first_true, in_band,
+                     ladder_rung, select_spectrum, unbatch)
+from .opcore import build_model  # noqa: F401  the name perfbench's tracer test rebinds here
 from .resolvent import BoundaryValue
 
 
@@ -190,9 +191,9 @@ def d_spectrum_ladder(spec: ModelSpec, lam, n_list):
     """Eigenvalue clouds of D = E(-inf,lam) - E0(-inf,lam) along a truncation ladder.
 
     lam is one lambda, which gives one EssSpectrumEstimate, or a 1-D array of
-    them, which gives a tuple of them, one per lambda.  Each rung is built and
-    decomposed once (opcore.ladder_rung, which chooses the route from the
-    pair), and every lambda reads only the rung: its spectra and the overlap
+    them, which gives a tuple of them, one per lambda.  n_list is checked, and
+    each rung built and decomposed once, by opcore._ladder (at least 3 rungs),
+    and every lambda reads only the rung: its spectra and the overlap
     W = Phi^T Psi in H0's eigenbasis.  The cloud of every lambda is Rung.cloud
     of the step 1 strictly below lambda (select_spectrum: an eigenvalue on
     lambda is left out), the singular values of two cross blocks of W.  E0 is
@@ -202,13 +203,10 @@ def d_spectrum_ladder(spec: ModelSpec, lam, n_list):
     """
     batch = np.ndim(lam) > 0
     lams = np.ravel(np.asarray(lam, dtype=float)).tolist()
-    n_list = tuple(_checked_int(n, "n_list", AlphaError) for n in n_list)
-    if len(n_list) < 3 or list(n_list) != sorted(n_list):
-        raise AlphaError("n_list must be ascending with at least 3 entries")
+    n_list, rungs = _ladder(spec, n_list, 3, AlphaError)
     clouds = [[] for _ in lams]
     residuals = [[] for _ in lams]
-    for n in n_list:
-        rung = ladder_rung(build_model(replace(spec, n_half=n)))
+    for rung in rungs:
         for i, x in enumerate(lams):
             residuals[i].append(_b4_residual_norm(rung.overlap[:, :count_below(rung.full, x)]))
             clouds[i].append(rung.cloud(lambda w, x=x: select_spectrum(w, hi=x).astype(float)))

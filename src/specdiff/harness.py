@@ -29,7 +29,7 @@ from . import THREAD_VARS, __version__
 from . import tolerances as tol
 from .alpha import alpha_derivative, alpha_smatrix, d_spectrum_ladder, fredholm_check
 from .opcore import (ModelSpec, _checked_float, _checked_int, _checked_list, _checked_object,
-                     _required, build_model, in_band)
+                     _ladder, _required, build_model, in_band)
 from .pcfunc import PiecewiseFn, empirical_spectrum, hausdorff, predicted_ess_spectrum
 from .resolvent import boundary_value
 from .scatter1d import smatrix_stationary, smatrix_transfer
@@ -107,16 +107,17 @@ def _fatal_diagnostics(config: ExperimentConfig):
     _, needs_grid = _DISPATCH[config.kind]
     if needs_grid and not config.lambda_grid:
         diags.append("lambda_grid is empty")
+    if config.kind in ("d_ladder", "phi_check"):     # the ladder's rule; no rung is built
+        try:
+            _ladder(config.model, config.n_list, 3 if config.kind == "d_ladder" else 0, ConfigError)
+        except ConfigError as exc:
+            diags.append(str(exc))
     if config.kind == "d_ladder":
-        if len(config.n_list) < 3:
-            diags.append("d_ladder needs at least 3 truncation sizes")
         by_name = {}
         for lam in config.lambda_grid:
             by_name.setdefault(_d_ladder_name(lam), []).append(lam)
         diags += [f"lambda {lams} all write {name}"
                   for name, lams in by_name.items() if len(lams) > 1]
-    if config.kind in ("d_ladder", "phi_check") and list(config.n_list) != sorted(config.n_list):
-        diags.append(f"n_list {list(config.n_list)} must be ascending")
     if config.kind == "phi_check" and config.phi is None:
         diags.append("phi_check requires a phi symbol")
     parent = os.path.dirname(os.path.abspath(config.output_dir)) or "."

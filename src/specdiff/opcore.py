@@ -21,7 +21,9 @@ tol.CLOUD_FLOOR.  The rung reads no symbol; the convention at a jump is
 f's.  ladder_rung is the one place that chooses a rung's route, by one rule on
 the pair (one_site_at_origin): the even sector of a one-site V at lattice1d
 site 0 (even_sector: eigenvalues only, and W as a Cauchy matrix), or H0's
-closed form and one solve of H, with W and G Phi as sine transforms.  The two
+closed form and one solve of H, with W and G Phi as sine transforms.  _ladder
+is the one rule for a truncation ladder (integer n_list entries, strictly
+ascending, at least min_rungs of them) and the one loop over its rungs.  The
 whole decompositions, eig(pair, 'free') and eig(pair, 'full'), stay the
 oracle.  Its thresholds are read from specdiff.tolerances.  Every dense product
 and factorization goes through NumPy's BLAS; SciPy, which bundles a second
@@ -286,16 +288,15 @@ def eigendecompose(m: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=w, eigenvectors=vecs)
 
 
-def hopping_eigenvalues(n: int, stride: int = 1) -> np.ndarray:
-    """Eigenvalues 2 cos(pi k / m) of the n-site hopping chain, m = n + 1, ascending: every
-    stride-th k from k = n down.
+def hopping_eigenvalues(n: int) -> np.ndarray:
+    """Eigenvalues 2 cos(pi k / m) of the n-site hopping chain, m = n + 1, ascending (k = n..1).
 
     Each is a sine of an argument in [-pi/2, pi/2], so 2k = m gives an exact 0 and the
     eigenvalues come in exact +- pairs.  The one closed form of H0's spectrum: for the
-    whole chain (hopping_eigenpairs, ladder_rung) and its even sector (hopping_even_sector).
+    whole chain (hopping_eigenpairs, ladder_rung) and, at its even indices, the even sector.
     """
     m = n + 1
-    k = np.arange(n, 0, -stride)
+    k = np.arange(n, 0, -1)
     return 2.0 * np.sin(np.pi * (m - 2 * k) / (2 * m))
 
 
@@ -319,18 +320,6 @@ def hopping_eigenpairs(n: int) -> SpectralDecomposition:
     for start in range(0, n, 256):                                  # bounded integer scratch
         rows[start:start + 256] = table[np.outer(k[start:start + 256], x) % (2 * m)]
     return SpectralDecomposition(eigenvalues=hopping_eigenvalues(n), eigenvectors=rows.T)
-
-
-def hopping_even_sector(n_half: int):
-    """H0's eigenvalues, ascending, and |phi_k(0)| on the even sector of the lattice1d chain.
-
-    The (2N+1)-site chain (sites -N..N, m = 2N + 2) has phi_k(0) = sqrt(2/m)
-    sin(pi k / 2): the N + 1 eigenvectors of odd k do not vanish at site 0,
-    and all have |phi_k(0)| = sqrt(2/m).  Their eigenvalues are those of
-    hopping_eigenpairs(2N + 1) at its even ascending indices, with the same bits.
-    """
-    m = 2 * n_half + 2
-    return hopping_eigenvalues(m - 1, 2), np.full(n_half + 1, np.sqrt(2.0 / m))
 
 
 def eig(pair: OperatorPair, which: str, lo=-np.inf, hi=np.inf) -> SpectralDecomposition:
@@ -481,6 +470,21 @@ def ladder_rung(pair: OperatorPair) -> Rung:
                 g_free=g_free, dim=pair.spec.dim)
 
 
+def _ladder(spec: ModelSpec, n_list, min_rungs, error):
+    """(n_list, rungs): the checked tuple and a lazy iterator of ladder_rung at each n_half = N.
+
+    The one rule for a truncation ladder, checked before any rung is built: integer entries
+    (_checked_int), strictly ascending, so that the last two rungs, from which every ladder
+    reads its limit, are two truncations, and at least min_rungs of them; error otherwise.
+    """
+    n_list = tuple(_checked_int(n, "n_list", error) for n in n_list)
+    if any(a >= b for a, b in zip(n_list, n_list[1:])):
+        raise error(f"n_list {list(n_list)} must be ascending")
+    if len(n_list) < min_rungs:
+        raise error(f"need at least {min_rungs} ladder rungs, got {len(n_list)}")
+    return n_list, (ladder_rung(build_model(replace(spec, n_half=n))) for n in n_list)
+
+
 def _sine_coefficients(x):
     # Phi^T x for H0's ascending eigenvectors Phi (hopping_eigenpairs), in place on x.  Column
     # i of Phi is s_x sqrt(2/m) sin(pi (i + 1) x / m) with s_x = (-1)^(x+1), x = 1..n, so
@@ -496,8 +500,9 @@ def even_sector(pair: OperatorPair) -> Rung:
 
     The reflection x -> -x splits R^(2N+1): V vanishes on the odd vectors, so
     they are common eigenvectors of H0 and H and add nothing to a difference.
-    On the even sector H0 has the closed form of hopping_even_sector, and H =
-    Lambda + v z z^T in H0's eigenbasis (z_k = |phi_k(0)|, each phi_k signed so
+    The even ones are H0's N + 1 of odd k (m = 2N + 2), hopping_eigenvalues(2N + 1)
+    at its even ascending indices, each with |phi_k(0)| = sqrt(2/m) |sin(pi k / 2)| =
+    sqrt(2/m).  In their basis H = Lambda + v z z^T (z_k = |phi_k(0)|, each phi_k signed so
     that phi_k(0) > 0), whose eigenvalues mu_j come from one eigvals_only solve
     of the half chain on sites 0..N (sqrt 2 on the first bond, v at site 0),
     by eig's driver.
@@ -514,7 +519,8 @@ def even_sector(pair: OperatorPair) -> Rung:
     from scipy import linalg            # looked up at call time, so it can be swapped
 
     n_half, ((_, v),) = pair.spec.n_half, pair.spec.potential
-    lam, z = hopping_even_sector(n_half)
+    m = 2 * n_half + 2
+    lam = hopping_eigenvalues(m - 1)[::2]
     lam = 0.5 * (lam - lam[::-1])
     diag = np.zeros(n_half + 1)
     diag[0] = v
@@ -526,7 +532,8 @@ def even_sector(pair: OperatorPair) -> Rung:
     np.subtract.outer(lam, mu, out=w)
     np.divide(zhat[:, None], w, out=w)
     w /= np.sqrt(np.einsum("kj,kj->j", w, w))
-    return Rung(free=lam, full=mu, overlap=w, g_free=np.sqrt(abs(v)) * z[None, :],
+    return Rung(free=lam, full=mu, overlap=w,
+                g_free=np.full((1, lam.size), np.sqrt(abs(v)) * np.sqrt(2.0 / m)),
                 dim=pair.spec.dim)
 
 

@@ -4,8 +4,8 @@ A symbol is a continuous background (vanishing preset) plus a finite list of
 step pieces; each jump at lambda_n contributes the segment
 [-alpha(lambda_n) kappa_n, +alpha(lambda_n) kappa_n] to the predicted
 essential spectrum of the difference phi(H) - phi(H0).  Empirical validation
-runs the same truncation ladders as the projection-difference analysis, and
-reads only the rung (opcore.ladder_rung): clouds from Rung.cloud, the cross
+runs the same truncation ladders as the projection-difference analysis
+(opcore._ladder), and reads only the rung (opcore.ladder_rung): clouds from Rung.cloud, the cross
 term from Rung.symbol_factor and Rung.mixed, each given the symbol's values on
 a spectrum (PiecewiseFn.on_spectrum, the one place where a jump's left limit
 meets a spectrum).  The rung's kernels are certified to tol.CLOUD_FLOOR, so no
@@ -25,8 +25,8 @@ import numpy as np
 from . import tolerances as tol
 from .alpha import nearest_distances, transient_filter
 from .opcore import (ModelSpec, OperatorPair, _checked_float, _checked_int, _checked_list,
-                     _checked_object, apply_function, build_model, eig, in_band, ladder_rung,
-                     snap_to_points)
+                     _checked_object, _ladder, apply_function, eig, in_band, snap_to_points)
+from .opcore import build_model  # noqa: F401  the name perfbench's tracer test rebinds here
 
 _BACKGROUNDS = ("zero", "gaussian_bump", "arctan_step_smoothed")
 
@@ -272,20 +272,17 @@ def empirical_spectrum(spec: ModelSpec, phi: PiecewiseFn, n_list) -> dict:
     of eigenvalues beyond tol.BIG_EIGENVALUE per rung (the compactness
     fingerprint for continuous phi).
     """
-    return _spectra(spec, (phi,), n_list)[0]
+    return _spectra(spec, (phi,), n_list, 1)[0]
 
 
-def _spectra(spec, phis, n_list):
-    # empirical_spectrum for every symbol of phis, from one rung (opcore.ladder_rung) per N
+def _spectra(spec, phis, n_list, min_rungs):
+    # empirical_spectrum for every symbol of phis, from one rung (opcore._ladder) per N
     if not all(phi.is_real for phi in phis):
         raise SymbolError("complex symbols excluded from empirical validation "
                           "(difference non-normal; finite-section spectra unreliable)")
-    n_list = tuple(_checked_int(n, "n_list", SymbolError) for n in n_list)
-    if not n_list or list(n_list) != sorted(n_list):
-        raise SymbolError("n_list must be ascending and non-empty")
+    n_list, rungs = _ladder(spec, n_list, min_rungs, SymbolError)
     clouds = [[] for _ in phis]
-    for n in n_list:
-        rung = ladder_rung(build_model(replace(spec, n_half=n)))
+    for rung in rungs:
         for c, phi in zip(clouds, phis):
             c.append(rung.cloud(phi.on_spectrum))
     return tuple({"n_list": n_list, "clouds": tuple(c),
@@ -321,8 +318,8 @@ def cross_term_compactness(spec: ModelSpec, phi1: PiecewiseFn, phi2: PiecewiseFn
     When the two symbols jump at disjoint locations the product of the two
     differences is compact, so its sv_index-th singular value must decay as
     the truncation grows; the report carries the per-rung sv_index + 3 leading
-    singular values and the decay verdict.  sv_index lies in 1..the smallest
-    rung's dim.  The second difference is taken as D2 = Q B to
+    singular values and the decay verdict.  sv_index is an integer in 1..the
+    smallest rung's dim.  The second difference is taken as D2 = Q B to
     tol.CLOUD_FLOOR / 2 (Rung.symbol_factor), and D1 D2 = (D1 Q R^T) Q'^T with
     B^T = Q' R, so the singular values are those of the n x r matrix D1 Q R^T =
     M1 (W^T Q) R^T (Rung.mixed): within ||D1|| tol.CLOUD_FLOOR / 2 of exact,
@@ -334,15 +331,13 @@ def cross_term_compactness(spec: ModelSpec, phi1: PiecewiseFn, phi2: PiecewiseFn
     overlap = set(phi1.singsupp()) & set(phi2.singsupp())
     if overlap:
         raise SymbolError(f"symbols share jump locations {sorted(overlap)}")
-    n_list = tuple(_checked_int(n, "n_list", SymbolError) for n in n_list)
-    if len(n_list) < 2:
-        raise SymbolError("need at least 2 ladder rungs")
-    dim = replace(spec, n_half=min(n_list)).dim
-    if list(n_list) != sorted(n_list) or not 1 <= sv_index <= dim:
-        raise SymbolError(f"n_list={n_list} must ascend and sv_index={sv_index} lie in 1..{dim}")
+    n_list, rungs = _ladder(spec, n_list, 2, SymbolError)
+    sv_index = _checked_int(sv_index, "sv_index", SymbolError)
+    dim = replace(spec, n_half=n_list[0]).dim
+    if not 1 <= sv_index <= dim:
+        raise SymbolError(f"sv_index={sv_index} must lie in 1..{dim}")
     rows = []
-    for n in n_list:
-        rung = ladder_rung(build_model(replace(spec, n_half=n)))
+    for rung in rungs:
         q, b = rung.symbol_factor(phi2.on_spectrum)
         if q is None:                               # a small rung: the product itself
             core = (rung.mixed(phi1.on_spectrum) @ rung.overlap.T) @ b
@@ -368,10 +363,7 @@ def union_formula_check(spec: ModelSpec, phi: PiecewiseFn, n_list) -> dict:
     pieces = phi.step_pieces()
     if not pieces:
         raise SymbolError("symbol has no jumps to decompose")
-    n_list = tuple(_checked_int(n, "n_list", SymbolError) for n in n_list)
-    if len(n_list) < 2:
-        raise SymbolError("need at least 2 ladder rungs")
-    results = _spectra(spec, (PiecewiseFn(jumps=phi.jumps),) + pieces, n_list)
+    results = _spectra(spec, (PiecewiseFn(jumps=phi.jumps),) + pieces, n_list, 2)
     sum_acc, *piece_results = (r["accumulation"] for r in results)
     union_pts = np.array(sorted(set([0.0] + [x for acc in piece_results for x in acc.tolist()])))
     sum_pts = np.concatenate([sum_acc, [0.0]]) if sum_acc.size else np.array([0.0])

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .opcore import OperatorPair, first_true, in_band, unbatch
+from .opcore import OperatorPair, _canonical_potential, first_true, in_band, unbatch
 from .resolvent import BoundaryValue
 
 
@@ -55,7 +55,7 @@ def _propagate(potential, lam, kappa):
     Returns (t, r_plus), elementwise in lam and kappa.  A wave incoming from the
     right is one incoming from the left on the mirrored potential V(-x).
     """
-    sites = {int(s): float(v) for s, v in potential}
+    sites = dict(potential)
     a = min(sites) if sites else 0
     b = max(sites) if sites else 0
     # transmitted side: pure e^{i kappa x} beyond the right edge of the support
@@ -73,14 +73,15 @@ def _propagate(potential, lam, kappa):
 def smatrix_transfer(potential, lam) -> LatticeScattering:
     """Transfer-matrix S(lambda) for a compactly supported lattice potential.
 
-    lam is one lambda or a 1-D array of them.
+    potential is read by ModelSpec's rule (opcore._canonical_potential), else
+    ModelError.  lam is one lambda or a 1-D array of them.
     """
     lam = np.asarray(lam, dtype=float)
     i = first_true(np.logical_not(in_band(lam)))
     if i is not None:
         raise ScatteringError(f"lambda={lam.flat[i]} too close to the band edge")
     kappa = np.arccos(lam / 2.0)
-    potential = [(int(s), float(v)) for s, v in potential if float(v) != 0.0]
+    potential = _canonical_potential(potential)
     if not potential:
         t_l = np.ones(lam.shape, dtype=complex)
         r_plus = r_minus = np.zeros(lam.shape, dtype=complex)

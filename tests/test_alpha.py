@@ -1,5 +1,7 @@
 """Three alpha routes, truncation ladders of the projection difference, Fredholm."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -147,10 +149,13 @@ def test_ladder_trivial_and_guards():
     est = d_spectrum_ladder(ModelSpec("lattice1d", 10), 0.0, (50, 100, 200))
     assert est.alpha_empirical == 0.0
     assert all(np.max(np.abs(c)) <= 1e-12 for c in est.eigenvalue_clouds)
-    with pytest.raises(AlphaError):
+    with pytest.raises(AlphaError, match="need at least 3 ladder rungs, got 2"):
         d_spectrum_ladder(ModelSpec("lattice1d", 10), 0.0, (50, 100))
     with pytest.raises(AlphaError, match="n_list must be an integer"):
         d_spectrum_ladder(ModelSpec("lattice1d", 10), 0.0, ("20", 30, 40))
+    # a repeated rung: the last two rungs would be one truncation, compared with itself
+    with pytest.raises(AlphaError, match=re.escape("n_list [100, 400, 400] must be ascending")):
+        d_spectrum_ladder(ModelSpec("lattice1d", 10), 0.0, (100, 400, 400))
 
 
 def test_ladder_off_spectrum_compact():

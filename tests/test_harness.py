@@ -88,14 +88,16 @@ def test_validate_warns_on_a_jump_out_of_band(tmp_path):
 
 @pytest.mark.parametrize("kind", ["d_ladder", "phi_check"])
 def test_descending_n_list_is_a_fatal_diagnostic(tmp_path, kind):
-    # the ladders refuse an n_list that does not ascend; validate and run say so up front
+    # the ladders refuse an n_list that does not ascend strictly (a repeated rung included);
+    # validate and run say so up front
     phi = {"jumps": [{"lambda": 0.3, "left": [0.0, 0.0], "right": [1.0, 0.0]}]}
-    doc = _config(tmp_path, kind=kind, lambda_grid=[0.3], phi=phi, n_list=[40, 20, 30])
-    cfg = ExperimentConfig.from_json(json.dumps(doc))
-    assert validate(cfg) == ["n_list [40, 20, 30] must be ascending"]
-    with pytest.raises(ConfigError, match="must be ascending"):
-        run(cfg)
-    assert not (tmp_path / "out").exists()
+    for n_list in ([40, 20, 30], [20, 20, 40]):
+        doc = _config(tmp_path, kind=kind, lambda_grid=[0.3], phi=phi, n_list=n_list)
+        cfg = ExperimentConfig.from_json(json.dumps(doc))
+        assert validate(cfg) == [f"n_list {n_list} must be ascending"]
+        with pytest.raises(ConfigError, match="must be ascending"):
+            run(cfg)
+        assert not (tmp_path / "out").exists()
     doc["n_list"] = [20, 30, 40]
     assert validate(ExperimentConfig.from_json(json.dumps(doc))) == []
 

@@ -28,6 +28,8 @@ from specdiff.resolvent import stone_consistency
 ULP = np.spacing(2.0)            # ||H0|| < 2 for every truncation
 OFFSETS = (-4.0 * ULP, 0.0, 4.0 * ULP)
 SPEC = ModelSpec("lattice1d", 10, ((0, 1.0),))
+LADDER = (50, 101, 200)
+SECTOR_CHAINS = {2 * n + 1 for n in LADDER}      # the even sector's closed form, one per rung
 
 
 def test_forced_offsets_lie_within_the_on_point_tolerance():
@@ -38,7 +40,7 @@ def _force_zero_mode(monkeypatch, offset):
     """Make H0's closed forms (whole and even sector) and every tridiagonal solve of H return
     their on-0 eigenvalues as offset."""
     real_solver, real_chain = scipy.linalg.eigh_tridiagonal, opcore.hopping_eigenpairs
-    real_sector = opcore.hopping_even_sector
+    real_values = opcore.hopping_eigenvalues
     forced = {"free": [], "full": [], "sector": []}
     eigvals_only = []               # one flag per solve that returned eigenvalues alone
 
@@ -60,9 +62,10 @@ def _force_zero_mode(monkeypatch, offset):
         dec = real_chain(n)
         return replace(dec, eigenvalues=force(dec.eigenvalues, "free"))
 
-    def sector(n_half):
-        w, weight = real_sector(n_half)
-        return force(w, "sector"), weight
+    def values(n):
+        # the closed form the even sector reads, at the 2N + 1 sites of a ladder rung, and the
+        # whole chain's elsewhere
+        return force(real_values(n), "sector" if n in SECTOR_CHAINS else "free")
 
     # modules that bound the solver by name at import, and scipy.linalg for
     # those that look it up at call time; opcore looks up the closed form at call time
@@ -70,7 +73,7 @@ def _force_zero_mode(monkeypatch, offset):
         if hasattr(mod, "eigh_tridiagonal"):
             monkeypatch.setattr(mod, "eigh_tridiagonal", solver)
     monkeypatch.setattr(opcore, "hopping_eigenpairs", chain)
-    monkeypatch.setattr(opcore, "hopping_even_sector", sector)
+    monkeypatch.setattr(opcore, "hopping_eigenvalues", values)
     return forced, eigvals_only
 
 
@@ -92,7 +95,7 @@ def _selections_at_zero():
     dec = eig(pair, "free")
     out["projection"] = spectral_projection(dec, 0.0)
 
-    est = d_spectrum_ladder(SPEC, 0.0, (50, 101, 200))
+    est = d_spectrum_ladder(SPEC, 0.0, LADDER)
     out["clouds"] = est.eigenvalue_clouds
     out["filtered"] = est.filtered_cloud
     out["alpha_empirical"] = est.alpha_empirical

@@ -1,5 +1,7 @@
 """Piecewise symbols, predicted vs empirical spectra of the functional difference."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -195,10 +197,14 @@ def test_cross_term_disjoint_vs_control():
         cross_term_compactness(SPEC, phi1, phi1, (250, 500))
 
 
-@pytest.mark.parametrize("n_list, sv_index", [((200, 100), 5), ((10, 20), 0), ((10, 20), 30)],
-                         ids=("descending", "index_zero", "index_past_the_dimension"))
+@pytest.mark.parametrize("n_list, sv_index", [
+    ((200, 100), 5), ((10, 10), 5), ((10, 20), 0), ((10, 20), 30), ((10, 20), 5.5),
+    ((10, 20), "5"), ((10, 20), True)],
+    ids=("descending", "repeated_rung", "index_zero", "index_past_the_dimension",
+         "fractional_index", "string_index", "bool_index"))
 def test_cross_term_rejects_a_bad_ladder_or_index(n_list, sv_index):
-    # a descending ladder, an index below 1, an index past the smallest rung's dimension (21)
+    # a ladder that does not ascend strictly, an index below 1, an index past the smallest
+    # rung's dimension (21), and an index that is not an integer
     phi1 = PiecewiseFn(jumps=((-0.5, 0.0, 1.0),))
     phi2 = PiecewiseFn(jumps=((0.5, 0.0, 0.5),))
     with pytest.raises(SymbolError):
@@ -264,6 +270,12 @@ def test_union_formula_needs_two_rungs():
         union_formula_check(SPEC, phi, (20,))
     with pytest.raises(SymbolError, match="n_list must be an integer"):   # not cut to N = 20
         empirical_spectrum(SPEC, phi, (20.7, 40))
+    # a repeated rung: the accumulation set would compare a truncation with itself
+    for check in (union_formula_check, empirical_spectrum):
+        with pytest.raises(SymbolError, match=re.escape("n_list [20, 40, 40] must be ascending")):
+            check(SPEC, phi, (20, 40, 40))
+    with pytest.raises(SymbolError, match="need at least 1 ladder rungs, got 0"):
+        empirical_spectrum(SPEC, phi, ())
 
 
 def test_union_formula_matches_per_symbol_ladders_bitwise():

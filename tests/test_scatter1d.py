@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from specdiff.alpha import alpha_derivative, alpha_smatrix, stilde_matrix
-from specdiff.opcore import ModelSpec, build_model
+from specdiff.opcore import ModelError, ModelSpec, build_model
 from specdiff.resolvent import boundary_value
 from specdiff.scatter1d import ScatteringError, smatrix_stationary, smatrix_transfer
 
@@ -24,6 +24,16 @@ def test_zero_potential_identity():
 def test_band_edge_rejected():
     with pytest.raises(ScatteringError):
         smatrix_transfer(((0, 0.5),), 1.95)
+
+
+@pytest.mark.parametrize("potential", [((0.5, 1.0),), ((True, 1.0),), (("1", 1.0),),
+                                       ((0, 1.0), (0, 0.5))],
+                         ids=("fractional_site", "bool_site", "string_site", "repeated_site"))
+def test_potential_is_read_by_the_model_rule(potential):
+    # the transfer route reads a potential as ModelSpec does: a site that is not an integer is
+    # not rounded to one, and a site given twice does not keep only its last value
+    with pytest.raises(ModelError):
+        smatrix_transfer(potential, 0.3)
 
 
 def test_unitarity_and_phases_on_grid():

@@ -92,12 +92,25 @@ def test_no_module_calls_scipys_blas():
 
 def test_only_opcore_chooses_the_rung_route():
     # the route rule and the even sector it selects (opcore.ladder_rung) are named nowhere else
-    names = {"one_site_at_origin", "even_sector", "hopping_even_sector"}
+    names = {"one_site_at_origin", "even_sector"}
     for name, _, refs in _references():
         if name == "opcore":
             assert names <= refs
         else:
             assert not names & refs, name
+
+
+def test_only_opcore_builds_a_ladder():
+    # a truncation ladder is opcore._ladder's, which checks n_list and builds the rungs: alpha
+    # and pcfunc never use build_model (the name stays imported there only for perfbench's
+    # tracer test), and the three modules that run a ladder all take it from _ladder
+    for name in ("alpha", "pcfunc"):
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"specdiff.{name}")))
+        assert "build_model" not in {node.id for node in ast.walk(tree)
+                                     if isinstance(node, ast.Name)}, name
+    for name, _, refs in _references():
+        if name != "opcore":
+            assert ("_ladder" in refs) == (name in ("alpha", "pcfunc", "harness")), name
 
 
 def test_only_the_rung_chooses_the_cloud_kernel():
