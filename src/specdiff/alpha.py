@@ -29,7 +29,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .opcore import (ModelSpec, OperatorPair, _ladder, count_below, first_true, in_band,
-                     ladder_rung, select_spectrum, unbatch)
+                     ladder_rung, leading_singvals, select_spectrum, unbatch)
 from .opcore import build_model  # noqa: F401  the name perfbench's tracer test rebinds here
 from .resolvent import BoundaryValue
 
@@ -122,7 +122,8 @@ def alpha_proj_limit(pair: OperatorPair, lam, eps_schedule) -> AlphaEstimate:
     open window win = (lam - eps, lam + eps) and extrapolates linearly in eps
     from the two smallest scheduled values.  The pair is decomposed once
     (opcore.ladder_rung), and every window is cut from its whole spectra by
-    opcore.select_spectrum.  G E0 is the rung's g_free and G E is g_free W.
+    opcore.select_spectrum.  G E0 is the rung's g_free and G E is g_free W; V = 0
+    gives the rung with no rows, on which every window norm is 0.
     """
     eps_schedule = sorted(set(float(e) for e in eps_schedule), reverse=True)
     if not eps_schedule:
@@ -134,16 +135,13 @@ def alpha_proj_limit(pair: OperatorPair, lam, eps_schedule) -> AlphaEstimate:
                              "for the truncation")
     if pair.spec.kind == "lattice1d" and not in_band(lam):
         raise AlphaError(f"lambda={lam} within band_margin of the band edge")
-    if pair.k_dim == 0:          # a V = 0 rung is W = I, n x n, for a value known to be 0
-        diag = [(e, 0.0) for e in eps_schedule]
-    else:
-        rung = ladder_rung(pair)
-        g_full = rung.g_free @ rung.overlap
-        diag = []
-        for e in eps_schedule:
-            b0 = rung.g_free[:, select_spectrum(rung.free, lam - e, lam + e)]
-            b1 = g_full[:, select_spectrum(rung.full, lam - e, lam + e)]
-            diag.append((e, (np.pi / (2.0 * e)) * float(np.linalg.norm(b0.T @ pair.j @ b1, 2))))
+    rung = ladder_rung(pair)
+    g_full = rung.g_free @ rung.overlap
+    diag = []
+    for e in eps_schedule:
+        b0 = rung.g_free[:, select_spectrum(rung.free, lam - e, lam + e)]
+        b1 = g_full[:, select_spectrum(rung.full, lam - e, lam + e)]
+        diag.append((e, (np.pi / (2.0 * e)) * leading_singvals(b0.T @ pair.j @ b1)))
     if len(diag) >= 2:
         (e1, v1), (e2, v2) = diag[-2], diag[-1]
         value = v2 + (v1 - v2) * (0.0 - e2) / (e1 - e2)

@@ -3,7 +3,9 @@
 The comparison operator is Gamma with kernel (1 - e^{-t-s})/(t+s) on the
 half-line, whose spectrum is [0, pi].  The maps L0/L reconstruct the product
 of spectral projections E(-1,0) E0(0,1) from semigroup integrals, which is the
-computable skeleton of the projection-difference analysis.
+computable skeleton of the projection-difference analysis.  A Hankel kernel is
+a function of x = t + s, evaluated on arrays; every grid spans
+(T / tol.GRID_SPAN, T), read at call time.
 """
 
 from __future__ import annotations
@@ -27,17 +29,17 @@ class HankelDiscretization:
     matrix: np.ndarray
 
 
-def graded_grid(n, t_max, span=tol.GRID_SPAN):
+def graded_grid(n, t_max):
     """Geometric grid on (0, T) refined toward 0, with cell-length weights.
 
-    The grid spans (T/span, T) with ratio span^(1/(n-1)), so doubling n
-    refines everywhere (at n=200 the ratio is the design value ~1.15).
+    The grid spans (T/span, T), span = tol.GRID_SPAN, with ratio span^(1/(n-1)),
+    so doubling n refines everywhere (at n=200 the ratio is the design value ~1.15).
     """
     if n < 8:
         raise HankelError("need at least 8 quadrature nodes")
     if t_max < 10:
         raise HankelError("truncation T must be >= 10")
-    ratio = span ** (1.0 / (n - 1.0))
+    ratio = tol.GRID_SPAN ** (1.0 / (n - 1.0))
     nodes = t_max * ratio ** (np.arange(n) - (n - 1.0))
     mids = np.empty(n + 1)
     mids[0] = 0.0
@@ -47,22 +49,22 @@ def graded_grid(n, t_max, span=tol.GRID_SPAN):
     return nodes, weights
 
 
-def gamma_kernel(t, s):
-    x = np.asarray(t) + np.asarray(s)
+def gamma_kernel(x):
+    """Gamma's kernel (1 - e^{-x}) / x at x = t + s."""
     return -np.expm1(-x) / x
 
 
-def _nystrom(kernel, n, t_max, span) -> HankelDiscretization:
+def _nystrom(kernel, n, t_max) -> HankelDiscretization:
     # the Nystrom matrix root_i root_j K(t_i + t_j) on the graded grid, exactly symmetric
-    nodes, weights = graded_grid(n, t_max, span)
+    nodes, weights = graded_grid(n, t_max)
     root = np.sqrt(weights)
     matrix = np.outer(root, root) * kernel(nodes[:, None] + nodes[None, :])
     return HankelDiscretization(nodes=nodes, weights=weights, matrix=matrix)
 
 
-def gamma_matrix(n, t_max, span=tol.GRID_SPAN) -> HankelDiscretization:
+def gamma_matrix(n, t_max) -> HankelDiscretization:
     """Nystrom matrix of the (1 - e^{-t-s})/(t+s) kernel."""
-    return _nystrom(lambda x: gamma_kernel(x, 0.0), n, t_max, span)
+    return _nystrom(gamma_kernel, n, t_max)
 
 
 def hankel_bound_check(kernel, c, n, t_max) -> dict:
@@ -72,7 +74,7 @@ def hankel_bound_check(kernel, c, n, t_max) -> dict:
     every entry of the array x.  The hypothesis is checked on the grid
     nodes before the norm of the returned discretization is formed.
     """
-    disc = _nystrom(kernel, n, t_max, tol.GRID_SPAN)
+    disc = _nystrom(kernel, n, t_max)
     nodes = disc.nodes
     nrm = np.abs(kernel(nodes))
     bad = np.flatnonzero(nrm > c / nodes + tol.CARLEMAN_HYPOTHESIS)
@@ -107,7 +109,7 @@ def build_l_operators(pair: OperatorPair, lam, n, t_max) -> dict:
     eigenvectors v0, v1, residual_b16 = ||v1 v1^T v0 v0^T + L J L0^T|| is the
     top singular value of the k1 x k0 factor v1^T v0 + c1 J c0^T.
     """
-    nodes, weights = graded_grid(n, t_max, tol.GRID_SPAN)
+    nodes, weights = graded_grid(n, t_max)
     cols = np.repeat(np.sqrt(weights), pair.k_dim)
 
     def semigroup(v, mu):

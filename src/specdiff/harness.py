@@ -1,16 +1,16 @@
 """Config-driven experiment runner: sweeps, ladders, artifacts, manifests.
 
 Each run consumes an ExperimentConfig (JSON), dispatches to the computational
-modules, writes CSV/JSON artifacts into the output directory, and finishes
-with a manifest recording the config hash, a content digest for every file,
-the tolerance table in force (tolerances.table(), read when the manifest is
-written), the environment (versions, BLAS builds, thread caps and the OpenBLAS
-thread timeout) and any per-point failures.  Only the manifest carries the
-environment, so every other artifact is the same bytes wherever it runs.  A
-config's keys are ExperimentConfig's fields, those with no default required,
-so it has no tolerance overrides: an unknown key is a ConfigError.  Its
-canonical_json, the bytes of its hash, is asdict with the symbol in its own
-shape.
+modules, writes CSV/JSON artifacts into the output directory through the run's
+record (RunRecord.write), and finishes with a manifest recording the config
+hash, a content digest for every file, the tolerance table in force
+(tolerances.table(), read when the manifest is written), the environment
+(versions, BLAS builds, thread caps and the OpenBLAS thread timeout) and any
+per-point failures.  Only the manifest carries the environment, so every other
+artifact is the same bytes wherever it runs.  A config's keys are
+ExperimentConfig's fields, those with no default required, so it has no
+tolerance overrides: an unknown key is a ConfigError.  Its canonical_json, the
+bytes of its hash, is asdict with the symbol in its own shape.
 """
 
 from __future__ import annotations
@@ -164,6 +164,7 @@ class RunRecord:
     config_hash: str
     status: str
     started: float
+    out_dir: str
     finished: float = 0.0
     files: dict = field(default_factory=dict)
     errors: list = field(default_factory=list)
@@ -183,30 +184,18 @@ class RunRecord:
             "tolerance_version": tol.__version__,
         }, indent=2, sort_keys=True)
 
-
-def _digest(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
-
-
-def _write_atomic(path, text):
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
-class _Emitter:
-    def __init__(self, out_dir, record):
-        self.out_dir = out_dir
-        self.record = record
-
     def write(self, name, text):
-        path = os.path.join(self.out_dir, name)
-        _write_atomic(path, text)
-        self.record.files[name] = _digest(path)
+        """Write the artifact name into out_dir and record the sha256 of its bytes."""
+        data = text.encode()
+        _write_atomic(os.path.join(self.out_dir, name), data)
+        self.files[name] = hashlib.sha256(data).hexdigest()
+
+
+def _write_atomic(path, data):
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+    os.replace(tmp, path)
 
 
 def _csv(header, rows):
@@ -221,7 +210,7 @@ def _errors(lams, exc):
     return [{"lambda": lam, "error": str(exc), "type": type(exc).__name__} for lam in lams]
 
 
-def _sweep(config, emit, record, filename, header, rows_fn):
+def _sweep(config, record, filename, header, rows_fn):
     """Rows of rows_fn(pair, bv, lams) over the lambda grid, from one built model.
 
     The grid runs in batches of consecutive points.  A batch is one
@@ -244,7 +233,7 @@ def _sweep(config, emit, record, filename, header, rows_fn):
         size = max(1, (pair.spec.dim // max(pair.k_dim, 1)) ** 2)
         for start in range(0, len(grid), size):
             _sweep_batch(pair, grid[start:start + size], rows_fn, rows, record.errors)
-    emit.write(filename, _csv(header, rows))
+    record.write(filename, _csv(header, rows))
     record.results["rows"] = len(rows)
 
 
@@ -289,13 +278,13 @@ def _d_ladder_name(lam):
     return f"d_ladder_lambda_{lam:+.6g}.json"
 
 
-def _run_d_ladder(config, emit, record):
+def _run_d_ladder(config, record):
     ests = d_spectrum_ladder(config.model, np.array(config.lambda_grid), config.n_list)
     for lam, est in zip(config.lambda_grid, ests):
-        emit.write(_d_ladder_name(lam), est.to_json())
+        record.write(_d_ladder_name(lam), est.to_json())
 
 
-def _run_phi_check(config, emit, record):
+def _run_phi_check(config, record):
     phi = config.phi
     pair = build_model(config.model)
 
@@ -315,29 +304,29 @@ def _run_phi_check(config, emit, record):
             "accumulation": [float(x) for x in acc],
             "hausdorff_to_prediction": float(dist),
         })
-    emit.write("phi_check.json", json.dumps(out, indent=2, sort_keys=True))
+    record.write("phi_check.json", json.dumps(out, indent=2, sort_keys=True))
     record.results.update(out)
 
 
-def _run_hankel_suite(config, emit, record):
+def _run_hankel_suite(config, record):
     from .hankelmodel import build_l_operators, gamma_kernel, hankel_bound_check
     n, t = config.hankel_n, config.hankel_t
-    carleman = hankel_bound_check(lambda x: gamma_kernel(x, 0.0), 1.0, n, t)
+    carleman = hankel_bound_check(gamma_kernel, 1.0, n, t)
     eigs = np.linalg.eigvalsh(carleman["discretization"].matrix)
-    emit.write("gamma_spectrum.csv",
-               _csv(("n", "T", "index", "eigenvalue"),
-                    [(n, float(t), i, float(w)) for i, w in enumerate(eigs)]))
+    record.write("gamma_spectrum.csv",
+                 _csv(("n", "T", "index", "eigenvalue"),
+                      [(n, float(t), i, float(w)) for i, w in enumerate(eigs)]))
     out = {"gamma_max": float(eigs.max()), "gamma_min": float(eigs.min()),
            "carleman_norm": carleman["norm"], "carleman_ok": carleman["bound_ok"]}
     if config.model.potential and config.lambda_grid:
         rec = build_l_operators(build_model(config.model), config.lambda_grid[0], n, t)
         out["residual_b16"] = rec["residual_b16"]
-    emit.write("hankel_suite.json", json.dumps(out, indent=2, sort_keys=True))
+    record.write("hankel_suite.json", json.dumps(out, indent=2, sort_keys=True))
     record.results.update(out)
 
 
 _DISPATCH = {
-    # kind: (runner(config, emit, record), needs a lambda grid)
+    # kind: (runner(config, record), needs a lambda grid)
     "alpha_sweep": (partial(_sweep, filename="alpha_sweep.csv",
                             header=("lambda", "route", "value", "err", "mode"),
                             rows_fn=_alpha_rows), True),
@@ -375,14 +364,13 @@ def run(config: ExperimentConfig, overwrite=False) -> RunRecord:
         raise ConfigError(f"{manifest_path} exists; pass overwrite to replace")
     os.makedirs(out_dir, exist_ok=True)
     record = RunRecord(config_hash=config.config_hash(), status="running",
-                       started=time.time())
-    emit = _Emitter(out_dir, record)
+                       started=time.time(), out_dir=out_dir)
     runner, _ = _DISPATCH[config.kind]
     try:
-        runner(config, emit, record)
+        runner(config, record)
     except Exception as exc:
         record.errors.extend(_errors(config.lambda_grid or (None,), exc))
     record.finished = time.time()
     record.status = "partial" if record.errors else "complete"
-    _write_atomic(manifest_path, record.manifest(config))
+    _write_atomic(manifest_path, record.manifest(config).encode())
     return record

@@ -38,6 +38,7 @@ a config object, serves the symbol (pcfunc) and the experiment config
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 
@@ -61,8 +62,8 @@ def _checked_int(value, name, error=ModelError) -> int:
 
 
 def _checked_float(value, name, error=ModelError) -> float:
-    """value as a float; error naming the field unless it is a real number (not a bool)."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+    """value as a float; error naming the field unless it is a finite real number (not a bool)."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
         return float(value)
     raise error(f"{name} must be a number, got {value!r}")
 
@@ -363,7 +364,8 @@ class Rung:
     overlap -- W = Phi^T Psi: column j is H's eigenvector psi_j in the phi_k basis
     g_free  -- G Phi: G times H0's eigenvectors, one column per lambda_k
     dim     -- the size of the whole space; rows past W's size stand for common
-               eigenvectors of H0 and H, which add zeros to every difference
+               eigenvectors of H0 and H, which add zeros to every difference.  With
+               V = 0 every eigenvector is common: the rung has no rows
     """
 
     free: np.ndarray
@@ -432,9 +434,9 @@ class Rung:
 
 def _one_step(v0, v1):
     # (a, b, k0, k1) when the values v0 on H0's spectrum and v1 on H's are a on their first k0
-    # and k1 entries and b on the rest, else None; constant values give a = b
+    # and k1 entries and b on the rest, else None, also for no values; constant values give a = b
     vals = np.unique(np.concatenate([v0, v1]))
-    if vals.size > 2:
+    if not 1 <= vals.size <= 2:
         return None
     for a, b in ((vals[0], vals[-1]), (vals[-1], vals[0])):
         k0, k1 = np.count_nonzero(v0 == a), np.count_nonzero(v1 == a)
@@ -456,15 +458,16 @@ def ladder_rung(pair: OperatorPair) -> Rung:
     Every other pair takes H0's closed form (hopping_eigenvalues) and one solve
     of H (eig), and never forms H0's eigenvectors Phi: W = Phi^T Psi and
     (G Phi)^T = Phi^T G^T are sine transforms (_sine_coefficients), W in place
-    on Psi.  V = 0 gives W = I, so that every cloud is exact zeros.
+    on Psi.  V = 0 gives the rung with no rows, every eigenvector common to H0
+    and H, so that every cloud is dim exact zeros.
     """
     if one_site_at_origin(pair):
         return even_sector(pair)
+    if not pair.v.any():
+        return Rung(free=np.empty(0), full=np.empty(0), overlap=np.empty((0, 0)),
+                    g_free=np.empty((pair.k_dim, 0)), dim=pair.spec.dim)
     free = hopping_eigenvalues(pair.spec.dim)
     g_free = _sine_coefficients(pair.g.T.copy(order="F")).T
-    if not pair.v.any():
-        return Rung(free=free, full=free, overlap=np.eye(free.size), g_free=g_free,
-                    dim=pair.spec.dim)
     full = eig(pair, "full")
     return Rung(free=free, full=full.eigenvalues, overlap=_sine_coefficients(full.eigenvectors),
                 g_free=g_free, dim=pair.spec.dim)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import cmath
 import json
 import numbers
 
@@ -51,8 +52,8 @@ def _background_fn(name, params):
 
 
 def _checked_limit(value, name):
-    # a jump limit as a complex number; SymbolError naming the field unless it is a number
-    if isinstance(value, numbers.Complex) and not isinstance(value, bool):
+    # a jump limit as a complex number; SymbolError naming the field unless it is a finite number
+    if isinstance(value, numbers.Complex) and not isinstance(value, bool) and cmath.isfinite(value):
         return complex(value)
     raise SymbolError(f"{name} must be a number, got {value!r}")
 

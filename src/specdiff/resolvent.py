@@ -46,7 +46,7 @@ class BoundaryValue:
     Fp are the spectral density derivatives B0/pi and B/pi.  They are derived
     from T0 and T on each access, so a record holds two matrices (stacks).
     For a lambda batch lam and err_estimate are arrays and each matrix is a
-    stack, one k x k matrix per lambda; to_json writes a single point.
+    stack, one k x k matrix per lambda.
     """
 
     lam: float
@@ -78,25 +78,6 @@ class BoundaryValue:
     @property
     def fp(self):
         return self.b / np.pi
-
-    def to_json(self):
-        import json
-
-        def cm(m):
-            return [[[float(x.real), float(x.imag)] for x in row] for row in np.atleast_2d(m)]
-
-        def rm(m):
-            return [[float(x) for x in row] for row in np.atleast_2d(m)]
-
-        return json.dumps({
-            "lambda": self.lam,
-            "T0": cm(self.t0), "T": cm(self.t),
-            "A0": rm(self.a0), "B0": rm(self.b0),
-            "A": rm(self.a), "B": rm(self.b),
-            "F0p": rm(self.f0p), "Fp": rm(self.fp),
-            "err_estimate": self.err_estimate,
-            "route": self.route,
-        })
 
 
 def lattice_w(z):

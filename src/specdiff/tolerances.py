@@ -1,9 +1,7 @@
 """Every numerical threshold of specdiff, and the table the manifest reports.
 
 The numerical modules read these names at call time (tol.NAME), so the
-table is the policy in force.  One value is bound at import: GRID_SPAN as
-the default span of hankelmodel.graded_grid and gamma_matrix, which
-stretched-grid runs pass explicitly.
+table is the policy in force.
 """
 
 BAND_MARGIN = 0.1                 # lambda kept this far inside the lattice band (-2, 2)

@@ -213,11 +213,15 @@ def test_model_config_keys(tmp_path):
 
 def test_integer_fields_are_checked_not_truncated(tmp_path):
     # a non-integral or non-numeric value names its field, whether it comes from JSON or not;
-    # an integral float is its integer
+    # an integral float is its integer.  A non-finite float is not a number: json.dumps writes
+    # it as the NaN or Infinity token, which json.loads reads back
+    nan, inf = float("nan"), float("inf")
     model_cases = [({"n_half": 10.5}, "n_half"), ({"seed": 1.5}, "seed"),
                    ({"potential": [[0.5, 1.0]]}, "potential site"),
                    ({"n_half": "10"}, "n_half"), ({"n_half": True}, "n_half"),
                    ({"potential": [[0, "v"]]}, "potential value"),
+                   ({"potential": [[0, nan]]}, "potential value must be a number, got nan"),
+                   ({"potential": [[0, -inf]]}, "potential value must be a number, got -inf"),
                    ({"kind": "random_traceclass", "decay_rate": "fast"}, "decay_rate")]
     for change, field in model_cases:
         doc = dict(MODEL, **change)
@@ -231,7 +235,9 @@ def test_integer_fields_are_checked_not_truncated(tmp_path):
                     ({"hankel_n": 12.9}, "hankel_n"), ({"hankel_n": "abc"}, "hankel_n"),
                     ({"lambda_grid": {"min": -1.0, "max": 1.0, "count": 2.5}}, "count"),
                     ({"hankel_t": "abc"}, "hankel_t"), ({"lambda_grid": ["x"]}, "lambda_grid"),
-                    ({"lambda_grid": {"min": "a", "max": 1.0, "count": 3}}, "lambda_grid min")]
+                    ({"lambda_grid": {"min": "a", "max": 1.0, "count": 3}}, "lambda_grid min"),
+                    ({"lambda_grid": [0.0, nan]}, "lambda_grid must be a number, got nan"),
+                    ({"hankel_t": inf}, "hankel_t must be a number, got inf")]
     for change, field in config_cases:
         with pytest.raises(ConfigError, match=field):
             ExperimentConfig.from_json(json.dumps(_config(tmp_path, **change)))

@@ -107,6 +107,12 @@ def test_modelspec_validation_errors():
         ModelSpec("lattice1d", 2, ((0, 1.0), (0, 2.0)))
     with pytest.raises(ModelError):
         ModelSpec("random_traceclass", 5)
+    # a non-finite number is not a number: it would reach LAPACK as a NaN
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ModelError, match="potential value must be a number"):
+            ModelSpec("lattice1d", 10, [[0, bad]])
+        with pytest.raises(ModelError, match="decay_rate must be a number"):
+            ModelSpec("random_traceclass", 10, decay_rate=bad)
 
 
 def test_modelspec_json_round_trip():
@@ -292,7 +298,7 @@ def test_cloud_kernel_is_deterministic_and_exact_on_empty_and_zero_blocks():
     assert np.array_equal(w, before)
     for shape in ((0, 0), (0, 5), (5, 0)):
         assert _floor_singvals(np.zeros(shape)).shape == (0,)
-    eye = np.eye(401)                                    # the W of V = 0
+    eye = np.eye(401)                                    # zero cross blocks
     assert np.array_equal(_floor_singvals(eye[200:, :200]), np.zeros(200))
     assert np.array_equal(_floor_singvals(eye[:200, 200:]), np.zeros(200))
 
@@ -397,11 +403,11 @@ def test_sine_transform_overlap_matches_the_eigenvector_product(spec):
     assert np.array_equal(rung.free, free.eigenvalues)
     assert np.max(np.abs(rung.overlap - free.eigenvectors.T @ psi)) <= 1e-13
     assert np.max(np.abs(rung.g_free - pair.g @ free.eigenvectors)) <= 1e-13
-    # V = 0: W is exactly the identity, and G Phi has no rows
+    # V = 0: every eigenvector is common, so the rung has no rows and G Phi no entries
     for zero in (ModelSpec("lattice1d", 40), ModelSpec("jacobi", 41)):
         rung = ladder_rung(build_model(zero))
-        assert np.array_equal(rung.overlap, np.eye(zero.dim))
-        assert rung.full is rung.free and rung.g_free.shape == (0, zero.dim)
+        assert rung.overlap.shape == (0, 0) and rung.dim == zero.dim
+        assert rung.free.size == rung.full.size == 0 and rung.g_free.shape == (0, 0)
 
 
 def test_even_sector_overlap_is_orthogonal():
@@ -462,15 +468,17 @@ def test_difference_spectrum_measures_plus_minus_one_and_zero_potential():
     pair = build_model(ModelSpec("lattice1d", 80, ((0, -2.0),)))
     got = ladder_rung(pair).cloud(_indicator(0.3))
     assert np.sum(np.abs(got - 1.0) <= 1e-8) == 1 and np.sum(np.abs(got + 1.0) <= 1e-8) == 0
-    # V = 0: H shares H0's decomposition, W is the identity and D is exactly 0
+    # V = 0: H shares H0's decomposition, the rung has no rows and D is exactly 0
     pair = build_model(ModelSpec("lattice1d", 80))
     dec0, dec1 = eig(pair, "free"), eig(pair, "full")
     assert np.array_equal(dec1.eigenvalues, dec0.eigenvalues)
     assert np.array_equal(dec1.eigenvectors, dec0.eigenvectors)
     rung = ladder_rung(pair)
-    assert np.array_equal(rung.overlap, np.eye(161))
+    assert rung.overlap.shape == (0, 0) and rung.dim == 161
     for lam in (-1.0, 0.0, 0.3):
         assert np.array_equal(rung.cloud(_indicator(lam)), np.zeros(161))
+    bump = PiecewiseFn(background="gaussian_bump", background_params=(1.0, 0.0, 0.5))
+    assert np.array_equal(rung.cloud(bump.on_spectrum), np.zeros(161))
 
 
 def test_orthonormality_and_residual():

@@ -38,7 +38,12 @@ def test_symbol_validation_and_round_trip():
                           (dict(jumps=((0.5, "0", 1.0),)), "jump left limit"),
                           (dict(jumps=((0.5, 0.0, True),)), "jump right limit"),
                           (dict(background="arctan_step_smoothed",
-                                background_params=(1.0, "c", 0.2)), "background parameter")]:
+                                background_params=(1.0, "c", 0.2)), "background parameter"),
+                          (dict(jumps=((np.inf, 0.0, 1.0),)), "jump location"),
+                          (dict(jumps=((0.5, np.nan, 1.0),)), "jump left limit"),
+                          (dict(jumps=((0.5, 0.0, complex(0.0, -np.inf)),)), "jump right limit"),
+                          (dict(background="gaussian_bump",
+                                background_params=(1.0, 0.0, np.nan)), "background parameter")]:
         with pytest.raises(SymbolError, match=f"{field} must be a number"):
             PiecewiseFn(**kwargs)
     phi = PiecewiseFn(jumps=((np.float64(0.5), 0, np.complex128(1j)),),

@@ -161,15 +161,6 @@ def test_richardson_rejects_non_converging():
         _richardson(seq)
 
 
-def test_boundary_value_json():
-    import json
-    bv = boundary_value(_pair(), 0.0)
-    doc = json.loads(bv.to_json())
-    assert doc["lambda"] == 0.0
-    assert doc["route"] == "closed_form"
-    assert doc["T0"][0][0] == [bv.t0[0, 0].real, bv.t0[0, 0].imag]
-
-
 def test_stone_consistency():
     assert stone_consistency(build_model(ModelSpec("lattice1d", 100)),
                              -0.5, 0.5, 64) == 0.0

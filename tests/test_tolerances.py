@@ -13,6 +13,8 @@ import specdiff
 from specdiff import opcore
 from specdiff import tolerances as tol
 from specdiff.alpha import d_spectrum_ladder, fredholm_check, transient_filter
+from specdiff.hankelmodel import (gamma_kernel, gamma_matrix, gamma_tensor_spectrum, graded_grid,
+                                  hankel_bound_check)
 from specdiff.harness import ExperimentConfig, run, validate
 from specdiff.opcore import ModelSpec, build_model, select_spectrum
 from specdiff.resolvent import ResolventError, boundary_value
@@ -141,6 +143,30 @@ def test_one_owner_for_each_spectral_point_convention():
     refs = {name: refs for name, _, refs in _references()}
     assert not {"select_spectrum", "count_below"} & refs["pcfunc"]
     assert {"snap_to_points", "on_spectrum"} <= refs["pcfunc"]
+
+
+def test_no_default_reads_a_tolerance():
+    # a default is bound when its function is defined, so one read from the table would not
+    # follow a value set at run time, which the manifest would still report
+    for info in pkgutil.iter_modules(specdiff.__path__):
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"specdiff.{info.name}")))
+        defaults = [d for node in ast.walk(tree) if isinstance(node, ast.arguments)
+                    for d in node.defaults + node.kw_defaults if d is not None]
+        assert not [node for d in defaults for node in ast.walk(d)
+                    if isinstance(node, ast.Name) and node.id == "tol"], info.name
+
+
+def test_hankel_grids_read_the_grid_span(monkeypatch):
+    nodes = graded_grid(64, 50.0)[0]
+    spectrum = gamma_tensor_spectrum(np.eye(1), 64, 50.0)
+    assert nodes[0] == pytest.approx(50.0 / tol.GRID_SPAN, rel=1e-9)
+    monkeypatch.setattr(tol, "GRID_SPAN", 1e6)
+    moved = graded_grid(64, 50.0)[0]
+    assert moved[0] == pytest.approx(50.0 / 1e6, rel=1e-9)
+    assert np.array_equal(gamma_matrix(64, 50.0).nodes, moved)
+    assert np.array_equal(hankel_bound_check(gamma_kernel, 1.0, 64, 50.0)["discretization"].nodes,
+                          moved)
+    assert not np.array_equal(gamma_tensor_spectrum(np.eye(1), 64, 50.0), spectrum)
 
 
 def _pair():
